@@ -225,7 +225,10 @@ def validate_schedule_dims(net: NetworkModel, part: BlockPartition,
 
     for arr in (sched.block_status,
                 *sched.switch_status.values(),
-                *sched.grid_forming.values()):
+                *sched.grid_forming.values(),
+                *sched.storage_on.values(),
+                *sched.storage_charging.values(),
+                *sched.storage_discharging.values()):
         a = np.asarray(arr)
         if a.size and not np.all((a == 0) | (a == 1)):
             raise DimensionError("status series must be 0/1")
@@ -513,6 +516,8 @@ def check_storage(out, net: NetworkModel, part: BlockPartition, scen: Scenario,
                        s.p_charge_max * zch[t], RESIDUAL_TOL)
             out.breach("storage_status", s.id, t, pdis[t],
                        s.p_discharge_max * zdis[t], RESIDUAL_TOL)
+            out.breach("storage_status", s.id, t, 0.0, pch[t], RESIDUAL_TOL)
+            out.breach("storage_status", s.id, t, 0.0, pdis[t], RESIDUAL_TOL)
 
 
 def schedule_to_dict(sched: Schedule) -> dict:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import ModelError
 from .netmodel import BlockPartition, NetworkModel, Scenario
@@ -78,7 +79,14 @@ class VariableRef:
 
 
 class MilpModel:
-    """Immutable standard-form model: min c'x s.t. rows, bounds, integrality."""
+    """Immutable standard-form model: min c'x s.t. rows, bounds, integrality.
+
+    The rows are stored once, at construction, as a CSR matrix ``A`` with
+    row bounds ``row_lo <= A x <= row_hi`` (an infinite side for ``<=`` and
+    ``>=`` rows, equal sides for ``=`` rows).  ``solver`` consumes exactly
+    this form; ``row_rels``/``row_rhs`` keep the relation view the bounds
+    were derived from.
+    """
 
     def __init__(self, variables, lo, hi, is_binary, index,
                  row_groups, row_rels, row_rhs, indptr, cols, vals,
@@ -91,9 +99,11 @@ class MilpModel:
         self.row_groups = row_groups
         self.row_rels = row_rels
         self.row_rhs = row_rhs
-        self._indptr = indptr
-        self._cols = cols
-        self._vals = vals
+        self._matrix = csr_matrix((vals, cols, indptr),
+                                  shape=(len(row_rhs), len(variables)))
+        rels = np.asarray(row_rels, dtype=str)
+        self.row_lo = np.where(rels == "<=", -np.inf, row_rhs)
+        self.row_hi = np.where(rels == ">=", np.inf, row_rhs)
         self.objective_cols = objective_cols
         self.objective_vals = objective_vals
         self.objective_constant = objective_constant
@@ -109,12 +119,10 @@ class MilpModel:
     def col(self, family: str, entity: str, period: int) -> int:
         return self.index[(family, entity, period)]
 
-    def has_col(self, family: str, entity: str, period: int) -> bool:
-        return (family, entity, period) in self.index
-
     def row(self, i: int):
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return self._cols[lo:hi], self._vals[lo:hi], self.row_rels[i], self.row_rhs[i]
+        a = self._matrix
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        return a.indices[lo:hi], a.data[lo:hi], self.row_rels[i], self.row_rhs[i]
 
     def binary_columns(self) -> np.ndarray:
         return np.flatnonzero(self.is_binary)
@@ -138,16 +146,9 @@ class MilpModel:
             counts[g] = counts.get(g, 0) + 1
         return counts
 
-    def constraint_matrix(self):
-        """Rows as a scipy CSR matrix (built lazily, cached)."""
-        from scipy.sparse import csr_matrix
-
-        if not hasattr(self, "_csr"):
-            self._csr = csr_matrix(
-                (self._vals, self._cols, self._indptr),
-                shape=(self.num_rows, self.num_vars),
-            )
-        return self._csr
+    def constraint_matrix(self) -> csr_matrix:
+        """The rows as a (num_rows, num_vars) CSR matrix."""
+        return self._matrix
 
     def export_text(self, stream) -> None:
         """Plain-text standard form dump, one constraint per line."""
@@ -190,8 +191,9 @@ class ModelBuilder:
         self._row_groups: list = []
         self._row_rels: list = []
         self._row_rhs: list = []
-        self._row_cols: list = []
-        self._row_vals: list = []
+        self._row_len: list = []
+        self._cols: list = []
+        self._vals: list = []
 
         self._obj_cols: list = []
         self._obj_vals: list = []
@@ -263,20 +265,12 @@ class ModelBuilder:
         return self.index[(family, entity, t)]
 
     def _row(self, group, cols, vals, rel, rhs):
-        c = np.asarray(cols, dtype=np.int64)
-        v = np.asarray(vals, dtype=np.float64)
-        if len(c) != len(np.unique(c)):
-            # coalesce repeated columns; solvers reject duplicate entries
-            uniq, inverse = np.unique(c, return_inverse=True)
-            acc = np.zeros(len(uniq))
-            np.add.at(acc, inverse, v)
-            keep = acc != 0.0
-            c, v = uniq[keep], acc[keep]
         self._row_groups.append(group)
         self._row_rels.append(rel)
         self._row_rhs.append(float(rhs))
-        self._row_cols.append(c)
-        self._row_vals.append(v)
+        self._row_len.append(len(cols))
+        self._cols.extend(cols)
+        self._vals.extend(vals)
 
     # -- variables -----------------------------------------------------------
 
@@ -820,13 +814,15 @@ class ModelBuilder:
         return self._finalize()
 
     def _finalize(self) -> MilpModel:
-        lengths = [len(c) for c in self._row_cols]
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        cols = (np.concatenate(self._row_cols)
-                if self._row_cols else np.empty(0, dtype=np.int64))
-        vals = (np.concatenate(self._row_vals)
-                if self._row_vals else np.empty(0, dtype=np.float64))
+        shape = (len(self._row_rhs), len(self._vars))
+        rows = np.repeat(np.arange(shape[0]), self._row_len)
+        # one COO->CSR pass: repeated (row, col) entries are summed, since
+        # solvers reject duplicates, and zero coefficients (written ones
+        # and cancelled sums alike) are dropped
+        a = coo_matrix((np.asarray(self._vals, dtype=np.float64),
+                        (rows, np.asarray(self._cols, dtype=np.int64))),
+                       shape=shape).tocsr()
+        a.eliminate_zeros()
         return MilpModel(
             variables=tuple(self._vars),
             lo=np.asarray(self._lo, dtype=np.float64),
@@ -836,9 +832,9 @@ class ModelBuilder:
             row_groups=tuple(self._row_groups),
             row_rels=tuple(self._row_rels),
             row_rhs=np.asarray(self._row_rhs, dtype=np.float64),
-            indptr=indptr,
-            cols=cols,
-            vals=vals,
+            indptr=a.indptr,
+            cols=a.indices,
+            vals=a.data,
             objective_cols=np.asarray(self._obj_cols, dtype=np.int64),
             objective_vals=np.asarray(self._obj_vals, dtype=np.float64),
             objective_constant=self._obj_const,

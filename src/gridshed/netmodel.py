@@ -122,9 +122,6 @@ class LoadBlock:
     index: int
     buses: frozenset
     nominal_demand: float
-    is_emergency: bool = False
-    alpha: float | None = None
-    psi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -140,11 +137,6 @@ class BlockPartition:
 
     def block_of(self, bus_id: str) -> int:
         return self.block_of_bus[bus_id]
-
-    def switches_of_block(self, kappa: int) -> tuple:
-        return tuple(
-            line_id for line_id, ki, kj in self.block_graph if kappa in (ki, kj)
-        )
 
 
 @dataclass(frozen=True)
@@ -172,10 +164,6 @@ class Scenario:
     beta: tuple  # beta[k][v], math.inf disables a pair
     rho: float
     emergency: frozenset = field(default_factory=frozenset)
-
-    @property
-    def periods(self) -> range:
-        return range(self.horizon)
 
     def beta_at(self, kappa: int, nu: int) -> float:
         return self.beta[kappa][nu]
@@ -216,9 +204,16 @@ def _require(data: dict, key: str, where: str):
 
 
 def _numeric(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # json.load accepts NaN, which every range check would let through
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or math.isnan(value)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _is_count(value) -> bool:
+    """A JSON integer; booleans are ints to Python but not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_network(data: dict) -> NetworkModel:
@@ -475,7 +470,7 @@ def compute_load_blocks(net: NetworkModel) -> BlockPartition:
 def _as_series(value, length: int, name: str) -> tuple:
     """Expand a scalar to a constant series and check lengths."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),) * length
+        return (_numeric(value, name),) * length
     if isinstance(value, list):
         if len(value) != length:
             raise DimensionError(
@@ -496,8 +491,9 @@ def _beta_matrix(raw, n_blocks: int) -> tuple:
     if raw is None:
         return tuple((INF,) * n_blocks for _ in range(n_blocks))
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        scalar = _numeric(raw, "beta")
         return tuple(
-            tuple(float(raw) if k != v else INF for v in range(n_blocks))
+            tuple(scalar if k != v else INF for v in range(n_blocks))
             for k in range(n_blocks)
         )
     if raw == "inf":
@@ -522,7 +518,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
     n_blocks = partition.n_blocks
 
     horizon = _require(data, "horizon", "scenario")
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_count(horizon) or horizon < 1:
         raise RangeError("horizon must be a positive integer")
     period_hours = _numeric(data.get("period_hours", 1.0), "period_hours")
     if period_hours <= 0:
@@ -548,6 +544,8 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
     demand_multiplier = _as_series(
         data.get("demand_multiplier", 1.0), horizon, "demand_multiplier"
     )
+    if any(d < 0 for d in demand_multiplier):
+        raise RangeError("demand_multiplier: negative value")
 
     limits = data.get("limits", {})
     if not isinstance(limits, dict):
@@ -560,10 +558,10 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
     if not 0 <= lam <= 1:
         raise RangeError(f"lambda must be in [0, 1], got {lam}")
     window = limits.get("window", horizon)
-    if not isinstance(window, int) or window < 0:
+    if not _is_count(window) or window < 0:
         raise RangeError("window must be a non-negative integer")
     m = limits.get("m", horizon)
-    if not isinstance(m, int) or m < 0:
+    if not _is_count(m) or m < 0:
         raise RangeError("m must be a non-negative integer")
     rho = _numeric(limits.get("rho", 0.0), "rho")
     if rho < 0:
@@ -573,7 +571,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
     k_bl_max = limits.get("k_bl_max", n_blocks)
     k_sw_max = limits.get("k_sw_max", n_switches)
     for name, val in (("k_bl_max", k_bl_max), ("k_sw_max", k_sw_max)):
-        if not isinstance(val, int) or val < 0:
+        if not _is_count(val) or val < 0:
             raise RangeError(f"{name} must be a non-negative integer")
 
     alpha = _as_series(limits.get("alpha", float(horizon)), n_blocks, "alpha")
@@ -591,7 +589,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
         raise ParseError("emergency_blocks: expected an array of block indices")
     emergency = set()
     for k in emergency_raw:
-        if not isinstance(k, int) or not 0 <= k < n_blocks:
+        if not _is_count(k) or not 0 <= k < n_blocks:
             raise RangeError(f"emergency block index {k} out of range")
         emergency.add(k)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csr_matrix
+from scipy.sparse import diags
 
 from .errors import BudgetExceeded, NumericalError
 from .formulation import MilpModel
@@ -62,35 +62,6 @@ class SolverOptions:
     gap_target: float = 1e-4
     node_limit: int | None = None
     time_limit: float | None = None
-    workers: int = 1  # >1 only affects sweep-level parallelism
-
-
-def _split_rows(model: MilpModel):
-    """Model rows as (A_ub, b_ub, A_eq, b_eq) with >= rows negated."""
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    n = model.num_vars
-    for i in range(model.num_rows):
-        cols, vals, rel, rhs = model.row(i)
-        if rel == "=":
-            eq_rows.append((cols, vals))
-            eq_rhs.append(rhs)
-        elif rel == "<=":
-            ub_rows.append((cols, vals))
-            ub_rhs.append(rhs)
-        else:  # >=
-            ub_rows.append((cols, -vals))
-            ub_rhs.append(-rhs)
-
-    def pack(rows):
-        if not rows:
-            return None
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c, _ in rows], out=indptr[1:])
-        cols = np.concatenate([c for c, _ in rows])
-        vals = np.concatenate([v for _, v in rows])
-        return csr_matrix((vals, cols, indptr), shape=(len(rows), n))
-
-    return pack(ub_rows), np.asarray(ub_rhs), pack(eq_rows), np.asarray(eq_rhs)
 
 
 def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> LpSolution:
@@ -99,16 +70,19 @@ def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> LpSolution:
     ``bounds`` optionally overrides the model's variable bounds with an
     (n, 2) array; used by the enumeration oracle to pin binaries.
     """
-    a_ub, b_ub, a_eq, b_eq = _cached_split(model)
+    a = model.constraint_matrix()
+    rels = np.asarray(model.row_rels, dtype=str)
+    eq = rels == "="
+    # linprog takes A_ub x <= b_ub: >= rows enter negated, in model order
+    sign = np.where(rels[~eq] == ">=", -1.0, 1.0)
     if bounds is None:
         bounds = np.column_stack([model.lo, model.hi])
-    c = model.objective_vector()
     res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub if a_ub is not None else None,
-        A_eq=a_eq,
-        b_eq=b_eq if a_eq is not None else None,
+        model.objective_vector(),
+        A_ub=diags(sign) @ a[~eq],
+        b_ub=sign * model.row_rhs[~eq],
+        A_eq=a[eq],
+        b_eq=model.row_rhs[eq],
         bounds=bounds,
         method="highs",
         options={"primal_feasibility_tolerance": FEASIBILITY_TOL},
@@ -131,12 +105,6 @@ def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> LpSolution:
     raise NumericalError(f"LP solve failed: {res.message}")
 
 
-def _cached_split(model: MilpModel):
-    if not hasattr(model, "_lp_split"):
-        model._lp_split = _split_rows(model)
-    return model._lp_split
-
-
 def _relative_gap(objective: float, bound: float) -> float:
     return max(0.0, (objective - bound) / max(1.0, abs(objective)))
 
@@ -151,14 +119,10 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
 
-    lb = model.row_rhs.copy()
-    ub = model.row_rhs.copy()
-    rels = np.asarray(model.row_rels)
-    lb[rels == "<="] = -np.inf
-    ub[rels == ">="] = np.inf
     constraints = []
     if model.num_rows:
-        constraints.append(LinearConstraint(model.constraint_matrix(), lb, ub))
+        constraints.append(LinearConstraint(model.constraint_matrix(),
+                                            model.row_lo, model.row_hi))
 
     options = {"mip_rel_gap": opts.gap_target, "presolve": True}
     if opts.time_limit is not None:

@@ -234,6 +234,39 @@ class TestVerifySchedule:
         fams = {v.family for v in report.violations}
         assert "grid_forming" in fams
 
+    def test_negative_charge_flagged(self, solved):
+        net, part, scen, sched = solved
+        # move 0.05 MW of bat3's t=5 discharge into a -0.05 MW charge: the
+        # net injection is unchanged and, with the energy series rebuilt
+        # to match, the recursion balances while storing energy from nothing
+        bat = net.storage[2]
+        assert bat.id == "bat3" and sched.storage_discharge[bat.id][5] > 0.05
+        pch = {k: v.copy() for k, v in sched.storage_charge.items()}
+        pdis = {k: v.copy() for k, v in sched.storage_discharge.items()}
+        energy = {k: v.copy() for k, v in sched.storage_energy.items()}
+        pch[bat.id][5] -= 0.05
+        pdis[bat.id][5] -= 0.05
+        energy[bat.id][5:] += scen.period_hours * (
+            0.05 / bat.eta_discharge - 0.05 * bat.eta_charge
+        )
+        bad = dataclasses.replace(sched, storage_charge=pch,
+                                  storage_discharge=pdis, storage_energy=energy)
+        report = verify_schedule(net, part, scen, bad, "equitable")
+        assert [(v.family, v.entity, v.period) for v in report.violations] == [
+            ("storage_status", "bat3", 5)
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["storage_on", "storage_charging", "storage_discharging"]
+    )
+    def test_non_binary_storage_status_raises(self, solved, name):
+        net, part, scen, sched = solved
+        series = {k: v.copy() for k, v in getattr(sched, name).items()}
+        series["bat3"][0] = 2
+        bad = dataclasses.replace(sched, **{name: series})
+        with pytest.raises(DimensionError):
+            verify_schedule(net, part, scen, bad, "equitable")
+
     def test_dimension_mismatch_raises(self, solved):
         net, part, scen, sched = solved
         truncated = dataclasses.replace(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridshed import (
+    ModelBuilder,
     ModelError,
     build_model,
     compute_load_blocks,
@@ -379,3 +380,40 @@ def test_export_text_is_deterministic(microgrid_case):
     lines = dumps[0].splitlines()
     model = build_model(net, part, scen, "equitable")
     assert len(lines) == 1 + model.num_vars + model.num_rows
+
+
+def test_repeated_columns_stored_once_with_summed_coefficient():
+    net, part, scen = load_case(small_network(seed=0, n_blocks=2),
+                                small_scenario(seed=0, n_blocks=2, horizon=1))
+    builder = ModelBuilder(net, part, scen, "original")
+    builder.register_variables()
+    builder._row("power_flow", [3, 1, 3, 2, 2], [1.0, 2.0, 0.5, 4.0, -4.0],
+                 "<=", 1.0)
+    cols, vals, rel, rhs = builder._finalize().row(0)
+    assert cols.tolist() == [1, 3]
+    assert vals.tolist() == [2.0, 1.5]
+    assert (rel, rhs) == ("<=", 1.0)
+
+
+@pytest.mark.parametrize("mode", ["original", "equitable"])
+def test_standard_form_has_no_stored_zeros(microgrid_case, mode):
+    net, part, scen = microgrid_case
+    model = build_model(net, part, scen, mode)
+    a = model.constraint_matrix()
+    assert a.has_canonical_format
+    assert np.all(a.data != 0.0)
+    # the per-period token identity writes the root block's z as +1 (the
+    # substation token) and -1 (an energized block): the entry must vanish
+    root = part.block_of(net.substation.id)
+    support_eq = np.array([g == "forming_support" and r == "="
+                           for g, r in zip(model.row_groups, model.row_rels)])
+    for t in range(scen.horizon):
+        zinv = [model.col("zinv", d.id, t)
+                for d in net.ders if d.can_grid_form]
+        (i,) = np.flatnonzero(support_eq & (a[:, zinv].getnnz(axis=1) > 0))
+        cols, vals, _, _ = model.row(i)
+        coef = dict(zip(cols.tolist(), vals.tolist()))
+        assert model.col("z", f"blk{root}", t) not in coef
+        for k in range(part.n_blocks):
+            if k != root:
+                assert coef[model.col("z", f"blk{k}", t)] == -1.0

@@ -285,3 +285,40 @@ class TestScenario:
                 {"horizon": 1, "risk": [[1.0]] * 6, "emergency_blocks": [9]},
                 part,
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", True),
+        ("window", False),
+        ("m", False),
+        ("k_bl_max", True),
+        ("k_sw_max", True),
+        ("emergency_blocks", [True]),
+    ])
+    def test_boolean_counts_rejected(self, part, field, value):
+        doc = {"horizon": 2, "risk": [[1.0] * 2] * 6, "limits": {}}
+        if field in ("horizon", "emergency_blocks"):
+            doc[field] = value
+        else:
+            doc["limits"][field] = value
+        with pytest.raises(RangeError):
+            parse_scenario(doc, part)
+
+    @pytest.mark.parametrize("doc", [
+        {"vulnerability": [math.nan] + [1.0] * 5},
+        {"vulnerability": math.nan},
+        {"risk": [[1.0, math.nan]] + [[1.0] * 2] * 5},
+    ])
+    def test_nan_rejected(self, part, doc, tmp_path):
+        doc = {"horizon": 2, "risk": [[1.0] * 2] * 6, **doc}
+        # json.dump writes NaN and json.load reads it back
+        path = write_json(tmp_path, "scen.json", doc)
+        with pytest.raises(ParseError):
+            load_scenario(path, part)
+
+    def test_negative_demand_multiplier_rejected(self, part):
+        with pytest.raises(RangeError):
+            parse_scenario(
+                {"horizon": 2, "risk": [[1.0] * 2] * 6,
+                 "demand_multiplier": [1.0, -0.5]},
+                part,
+            )

@@ -76,6 +76,24 @@ class TestSolveLp:
         assert dual == pytest.approx(-1.0, abs=1e-9)
         assert dual * slack == pytest.approx(0.0, abs=1e-9)
 
+    def test_ineq_duals_follow_model_row_order(self):
+        # min -2 x0 + 3 x1 + x2 with rows >=, =, <=, <= in that order
+        model = make_model(
+            [-2.0, 3.0, 1.0], [(0.0, 10.0)] * 3,
+            [([1], [1.0], ">=", 2.0),
+             ([2], [1.0], "=", 1.0),
+             ([0], [1.0], "<=", 3.0),
+             ([0, 1, 2], [1.0, 1.0, 1.0], "<=", 100.0)],
+        )
+        sol = solve_lp(model)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.0)
+        # one entry per non-equality row, in model order; a >= row is
+        # priced as its negation (-x1 <= -2), so relaxing it lowers cost
+        assert sol.dual_certificate["ineq"] == pytest.approx([-3.0, -2.0, 0.0],
+                                                             abs=1e-9)
+        assert sol.dual_certificate["eq"] == pytest.approx([1.0], abs=1e-9)
+
 
 class TestSolveMilp:
     def test_no_binaries_single_lp(self):
