@@ -76,50 +76,52 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
+# model variable family behind each checker.SERIES field
+SERIES_FAMILY = {
+    "switch_status": "zsw",
+    "grid_forming": "zinv",
+    "pg": "pg",
+    "qg": "qg",
+    "pd": "pd",
+    "qd": "qd",
+    "flow_p": "pflow",
+    "flow_q": "qflow",
+    "voltage_sq": "w",
+    "storage_energy": "E",
+    "storage_charge": "pch",
+    "storage_discharge": "pdis",
+    "storage_on": "zs",
+    "storage_charging": "zch",
+    "storage_discharging": "zdis",
+}
+
+
 def extract_schedule(model: MilpModel, values: np.ndarray, net: NetworkModel,
                      part: BlockPartition, scen: Scenario) -> chk.Schedule:
     """Read a solved variable vector back into a Schedule."""
     T = scen.horizon
 
-    def rounded(family, entity, t) -> int:
-        v = values[model.col(family, entity, t)]
-        r = round(v)
-        if abs(v - r) > 10 * INTEGRALITY_TOL:
+    def read(family, entity, status) -> np.ndarray:
+        v = values[[model.col(family, entity, t) for t in range(T)]]
+        if not status:
+            return v
+        r = np.round(v)
+        off = np.flatnonzero(np.abs(v - r) > 10 * INTEGRALITY_TOL)
+        if off.size:
             raise GridshedError(
-                f"{family}[{entity}@{t}] = {v!r} is not integral"
+                f"{family}[{entity}@{off[0]}] = {v[off[0]]!r} is not integral"
             )
-        return int(r)
-
-    def series(family, entity) -> np.ndarray:
-        return np.array(
-            [values[model.col(family, entity, t)] for t in range(T)]
-        )
-
-    def int_series(family, entity) -> np.ndarray:
-        return np.array([rounded(family, entity, t) for t in range(T)], dtype=int)
+        return r.astype(int)
 
     block_status = np.vstack(
-        [int_series("z", f"blk{k}") for k in range(part.n_blocks)]
+        [read("z", f"blk{k}", True) for k in range(part.n_blocks)]
     )
-    return chk.Schedule(
-        horizon=T,
-        block_status=block_status,
-        switch_status={l.id: int_series("zsw", l.id) for l in net.lines},
-        grid_forming={d.id: int_series("zinv", d.id) for d in net.ders},
-        pg={d.id: series("pg", d.id) for d in net.ders},
-        qg={d.id: series("qg", d.id) for d in net.ders},
-        pd={l.id: series("pd", l.id) for l in net.loads},
-        qd={l.id: series("qd", l.id) for l in net.loads},
-        flow_p={l.id: series("pflow", l.id) for l in net.lines},
-        flow_q={l.id: series("qflow", l.id) for l in net.lines},
-        voltage_sq={b.id: series("w", b.id) for b in net.buses},
-        storage_energy={s.id: series("E", s.id) for s in net.storage},
-        storage_charge={s.id: series("pch", s.id) for s in net.storage},
-        storage_discharge={s.id: series("pdis", s.id) for s in net.storage},
-        storage_on={s.id: int_series("zs", s.id) for s in net.storage},
-        storage_charging={s.id: int_series("zch", s.id) for s in net.storage},
-        storage_discharging={s.id: int_series("zdis", s.id) for s in net.storage},
-    )
+    series = {
+        name: {e.id: read(SERIES_FAMILY[name], e.id, status)
+               for e in getattr(net, entities)}
+        for name, _, entities, status in chk.SERIES
+    }
+    return chk.Schedule(horizon=T, block_status=block_status, **series)
 
 
 def compute_metrics(part: BlockPartition, scen: Scenario,

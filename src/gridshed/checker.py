@@ -90,6 +90,28 @@ class Schedule:
         return {did for did, series in self.grid_forming.items() if series[t] == 1}
 
 
+# Every per-entity series of a Schedule, in field and document order:
+# (field, JSON section or None for the top level, network collection whose
+# ids key the series, 0/1 status).
+SERIES = (
+    ("switch_status", None, "lines", True),
+    ("grid_forming", None, "ders", True),
+    ("pg", "dispatch", "ders", False),
+    ("qg", "dispatch", "ders", False),
+    ("pd", "dispatch", "loads", False),
+    ("qd", "dispatch", "loads", False),
+    ("flow_p", "dispatch", "lines", False),
+    ("flow_q", "dispatch", "lines", False),
+    ("voltage_sq", "dispatch", "buses", False),
+    ("storage_energy", "dispatch", "storage", False),
+    ("storage_charge", "dispatch", "storage", False),
+    ("storage_discharge", "dispatch", "storage", False),
+    ("storage_on", "dispatch", "storage", True),
+    ("storage_charging", "dispatch", "storage", True),
+    ("storage_discharging", "dispatch", "storage", True),
+)
+
+
 @dataclass(frozen=True)
 class Violation:
     family: str
@@ -200,38 +222,32 @@ def validate_schedule_dims(net: NetworkModel, part: BlockPartition,
             f"({part.n_blocks}, {T})"
         )
 
-    def check_map(mapping, ids, what):
+    if not np.all((sched.block_status == 0) | (sched.block_status == 1)):
+        raise DimensionError("status series must be 0/1")
+
+    for name, _, entities, status in SERIES:
+        mapping = getattr(sched, name)
+        ids = [e.id for e in getattr(net, entities)]
         missing = set(ids) - set(mapping)
         if missing:
-            raise DimensionError(f"{what}: missing series for {sorted(missing)}")
-        for key in ids:
-            if len(mapping[key]) != T:
-                raise DimensionError(
-                    f"{what}[{key}]: length {len(mapping[key])} != horizon {T}"
-                )
-
-    check_map(sched.switch_status, [l.id for l in net.lines], "switch_status")
-    check_map(sched.grid_forming, [d.id for d in net.ders], "grid_forming")
-    check_map(sched.pg, [d.id for d in net.ders], "pg")
-    check_map(sched.qg, [d.id for d in net.ders], "qg")
-    check_map(sched.pd, [l.id for l in net.loads], "pd")
-    check_map(sched.qd, [l.id for l in net.loads], "qd")
-    check_map(sched.flow_p, [l.id for l in net.lines], "flow_p")
-    check_map(sched.flow_q, [l.id for l in net.lines], "flow_q")
-    check_map(sched.voltage_sq, [b.id for b in net.buses], "voltage_sq")
-    for name in ("storage_energy", "storage_charge", "storage_discharge",
-                 "storage_on", "storage_charging", "storage_discharging"):
-        check_map(getattr(sched, name), [s.id for s in net.storage], name)
-
-    for arr in (sched.block_status,
-                *sched.switch_status.values(),
-                *sched.grid_forming.values(),
-                *sched.storage_on.values(),
-                *sched.storage_charging.values(),
-                *sched.storage_discharging.values()):
-        a = np.asarray(arr)
-        if a.size and not np.all((a == 0) | (a == 1)):
+            raise DimensionError(f"{name}: missing series for {sorted(missing)}")
+        try:
+            for key in ids:
+                if len(mapping[key]) != T:
+                    raise DimensionError(
+                        f"{name}[{key}]: length {len(mapping[key])} != horizon {T}"
+                    )
+            values = (np.concatenate(list(mapping.values())) if mapping
+                      else np.zeros(0))
+        except (TypeError, ValueError) as exc:
+            raise DimensionError(f"{name}: series must be flat arrays") from exc
+        if values.ndim != 1:
+            raise DimensionError(f"{name}: series must be flat arrays")
+        if status and not np.all((values == 0) | (values == 1)):
             raise DimensionError("status series must be 0/1")
+        # every comparison with NaN is false, so no later check would fail
+        if not status and not np.all(np.isfinite(values)):
+            raise DimensionError(f"{name}: non-finite value")
 
 
 class _Collector:
@@ -521,67 +537,48 @@ def check_storage(out, net: NetworkModel, part: BlockPartition, scen: Scenario,
 
 
 def schedule_to_dict(sched: Schedule) -> dict:
-    def series_map(mapping):
-        return {k: [float(x) for x in v] for k, v in mapping.items()}
-
-    def int_map(mapping):
-        return {k: [int(x) for x in v] for k, v in mapping.items()}
-
-    return {
+    doc = {
         "horizon": sched.horizon,
         "block_status": [[int(x) for x in row] for row in sched.block_status],
-        "switch_status": int_map(sched.switch_status),
-        "grid_forming": int_map(sched.grid_forming),
-        "dispatch": {
-            "pg": series_map(sched.pg),
-            "qg": series_map(sched.qg),
-            "pd": series_map(sched.pd),
-            "qd": series_map(sched.qd),
-            "flow_p": series_map(sched.flow_p),
-            "flow_q": series_map(sched.flow_q),
-            "voltage_sq": series_map(sched.voltage_sq),
-            "storage_energy": series_map(sched.storage_energy),
-            "storage_charge": series_map(sched.storage_charge),
-            "storage_discharge": series_map(sched.storage_discharge),
-            "storage_on": int_map(sched.storage_on),
-            "storage_charging": int_map(sched.storage_charging),
-            "storage_discharging": int_map(sched.storage_discharging),
-        },
     }
+    for name, section, _, status in SERIES:
+        cast = int if status else float
+        target = doc if section is None else doc.setdefault(section, {})
+        target[name] = {
+            k: [cast(x) for x in v] for k, v in getattr(sched, name).items()
+        }
+    return doc
+
+
+def _status_array(values, name: str) -> np.ndarray:
+    """Integer statuses; unlike a cast to int, 1.5 is rejected, not truncated."""
+    a = np.asarray(values)
+    if a.dtype.kind == "i":
+        return a
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+        raise ParseError(f"{name}: status values must be integers")
+    return a.astype(int)
 
 
 def schedule_from_dict(data: dict) -> Schedule:
+    """Read a schedule document in the layout schedule_to_dict writes."""
     try:
-        dispatch = data.get("dispatch", {})
-
-        def arr_map(source, as_int=False):
-            dtype = int if as_int else float
-            return {
-                str(k): np.asarray(v, dtype=dtype) for k, v in source.items()
-            }
-
-        return Schedule(
-            horizon=int(data["horizon"]),
-            block_status=np.asarray(data["block_status"], dtype=int),
-            switch_status=arr_map(data["switch_status"], as_int=True),
-            grid_forming=arr_map(data["grid_forming"], as_int=True),
-            pg=arr_map(dispatch.get("pg", {})),
-            qg=arr_map(dispatch.get("qg", {})),
-            pd=arr_map(dispatch.get("pd", {})),
-            qd=arr_map(dispatch.get("qd", {})),
-            flow_p=arr_map(dispatch.get("flow_p", {})),
-            flow_q=arr_map(dispatch.get("flow_q", {})),
-            voltage_sq=arr_map(dispatch.get("voltage_sq", {})),
-            storage_energy=arr_map(dispatch.get("storage_energy", {})),
-            storage_charge=arr_map(dispatch.get("storage_charge", {})),
-            storage_discharge=arr_map(dispatch.get("storage_discharge", {})),
-            storage_on=arr_map(dispatch.get("storage_on", {}), as_int=True),
-            storage_charging=arr_map(
-                dispatch.get("storage_charging", {}), as_int=True
-            ),
-            storage_discharging=arr_map(
-                dispatch.get("storage_discharging", {}), as_int=True
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        horizon = data["horizon"]
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise ParseError(f"horizon: expected an integer, got {horizon!r}")
+        block_status = _status_array(data["block_status"], "block_status")
+        series = {}
+        for name, section, _, status in SERIES:
+            # top-level series are required, dispatch series may be omitted
+            source = (data[name] if section is None
+                      else data.get(section, {}).get(name, {}))
+            if status:
+                series[name] = {key: _status_array(values, name)
+                                for key, values in source.items()}
+            else:
+                series[name] = {key: np.asarray(values, dtype=float)
+                                for key, values in source.items()}
+        return Schedule(horizon=horizon, block_status=block_status, **series)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ParseError(f"malformed schedule document: {exc}") from exc

@@ -9,7 +9,7 @@ All powers are MW/MVAr, energies MWh, voltages per-unit.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import DimensionError, ParseError, RangeError, ValidationError
 
@@ -204,11 +204,16 @@ def _require(data: dict, key: str, where: str):
 
 
 def _numeric(value, where: str) -> float:
-    # json.load accepts NaN, which every range check would let through
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or math.isnan(value)):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # json.load reads NaN and Infinity, which every range check would let
+    # through, and integers too large for a float
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = INF
+        if math.isfinite(number):
+            return number
+    raise ParseError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _is_count(value) -> bool:
@@ -216,125 +221,137 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _text(value, where: str) -> str:
+    return str(value)
+
+
+def _flag(value, where: str) -> bool:
+    if value is not True and value is not False:
+        raise ParseError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _unlimited(value, where: str) -> float:
+    """A ramp limit: null means unlimited."""
+    return INF if value is None else _numeric(value, where)
+
+
+def _optional(value, where: str):
+    return None if value is None else _numeric(value, where)
+
+
+# Network collection -> (record type, name in messages, (JSON key, field,
+# reader) per field).  A field is required exactly when its dataclass
+# field has no default; the derived Bus.attached_* fields are not read.
+NETWORK_RECORDS = {
+    "buses": (Bus, "bus", (
+        ("id", "id", _text),
+        ("is_substation", "is_substation", _flag),
+        ("v_min", "v_min", _numeric),
+        ("v_max", "v_max", _numeric),
+    )),
+    "lines": (Line, "line", (
+        ("id", "id", _text),
+        ("from", "from_bus", _text),
+        ("to", "to_bus", _text),
+        ("r", "resistance", _numeric),
+        ("x", "reactance", _numeric),
+        ("p_min", "p_min", _numeric),
+        ("p_max", "p_max", _numeric),
+        ("q_min", "q_min", _numeric),
+        ("q_max", "q_max", _numeric),
+        ("switchable", "switchable", _flag),
+    )),
+    "ders": (Der, "der", (
+        ("id", "id", _text),
+        ("bus", "bus", _text),
+        ("p_min", "p_min", _numeric),
+        ("p_max", "p_max", _numeric),
+        ("q_min", "q_min", _numeric),
+        ("q_max", "q_max", _numeric),
+        ("ramp_up", "ramp_up", _unlimited),
+        ("ramp_down", "ramp_down", _unlimited),
+        ("can_grid_form", "can_grid_form", _flag),
+        ("dispatchable", "dispatchable", _flag),
+    )),
+    "storage": (Storage, "storage", (
+        ("id", "id", _text),
+        ("bus", "bus", _text),
+        ("e_max", "e_max", _numeric),
+        ("p_charge_max", "p_charge_max", _numeric),
+        ("p_discharge_max", "p_discharge_max", _numeric),
+        ("eta_charge", "eta_charge", _numeric),
+        ("eta_discharge", "eta_discharge", _numeric),
+        ("e_initial", "e_initial", _optional),
+    )),
+    "loads": (LoadPoint, "load", (
+        ("id", "id", _text),
+        ("bus", "bus", _text),
+        ("p_min", "p_min", _numeric),
+        ("p_max", "p_max", _numeric),
+        ("q_min", "q_min", _numeric),
+        ("q_max", "q_max", _numeric),
+    )),
+}
+
+
+def _compile(cls, where: str, entries: tuple) -> tuple:
+    """(record type, where, (key, field, reader, message path, required)
+    per field), worked out once so parsing touches no dataclass metadata."""
+    has_default = {
+        f.name for f in fields(cls)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    }
+    return cls, where, tuple(
+        (key, attr, read, f"{where}.{key}", attr not in has_default)
+        for key, attr, read in entries
+    )
+
+
+_COMPILED = {name: _compile(*spec) for name, spec in NETWORK_RECORDS.items()}
+
+# (collection, Bus field) for the per-bus attachment tuples
+_ATTACHED = (("ders", "attached_generators"), ("loads", "attached_loads"),
+             ("storage", "attached_storage"))
+
+
+def _read_record(raw, where: str, entries: tuple) -> dict:
+    """Keyword arguments of one record; omitted keys take the defaults."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object, got {raw!r}")
+    kwargs = {}
+    for key, attr, read, path, required in entries:
+        if key in raw:
+            kwargs[attr] = read(raw[key], path)
+        elif required:
+            raise ParseError(f"{where}: missing required key '{key}'")
+    return kwargs
+
+
 def parse_network(data: dict) -> NetworkModel:
     """Build and validate a NetworkModel from a parsed JSON document."""
     if not isinstance(data, dict):
         raise ParseError("network document must be a JSON object")
 
-    buses = []
-    for raw in data.get("buses", []):
-        buses.append(
-            Bus(
-                id=str(_require(raw, "id", "bus")),
-                is_substation=bool(raw.get("is_substation", False)),
-                v_min=_numeric(raw.get("v_min", 0.95), "bus.v_min"),
-                v_max=_numeric(raw.get("v_max", 1.05), "bus.v_max"),
-            )
-        )
-    lines = []
-    for raw in data.get("lines", []):
-        lines.append(
-            Line(
-                id=str(_require(raw, "id", "line")),
-                from_bus=str(_require(raw, "from", "line")),
-                to_bus=str(_require(raw, "to", "line")),
-                resistance=_numeric(raw.get("r", 0.0), "line.r"),
-                reactance=_numeric(raw.get("x", 0.0), "line.x"),
-                p_min=_numeric(raw.get("p_min", -1e3), "line.p_min"),
-                p_max=_numeric(raw.get("p_max", 1e3), "line.p_max"),
-                q_min=_numeric(raw.get("q_min", -1e3), "line.q_min"),
-                q_max=_numeric(raw.get("q_max", 1e3), "line.q_max"),
-                switchable=bool(raw.get("switchable", False)),
-            )
-        )
-    ders = []
-    for raw in data.get("ders", []):
-        ders.append(
-            Der(
-                id=str(_require(raw, "id", "der")),
-                bus=str(_require(raw, "bus", "der")),
-                p_min=_numeric(raw.get("p_min", 0.0), "der.p_min"),
-                p_max=_numeric(raw.get("p_max", 0.0), "der.p_max"),
-                q_min=_numeric(raw.get("q_min", 0.0), "der.q_min"),
-                q_max=_numeric(raw.get("q_max", 0.0), "der.q_max"),
-                ramp_up=(
-                    INF
-                    if raw.get("ramp_up") is None
-                    else _numeric(raw["ramp_up"], "der.ramp_up")
-                ),
-                ramp_down=(
-                    INF
-                    if raw.get("ramp_down") is None
-                    else _numeric(raw["ramp_down"], "der.ramp_down")
-                ),
-                can_grid_form=bool(raw.get("can_grid_form", False)),
-                dispatchable=bool(raw.get("dispatchable", True)),
-            )
-        )
-    storage = []
-    for raw in data.get("storage", []):
-        storage.append(
-            Storage(
-                id=str(_require(raw, "id", "storage")),
-                bus=str(_require(raw, "bus", "storage")),
-                e_max=_numeric(_require(raw, "e_max", "storage"), "storage.e_max"),
-                p_charge_max=_numeric(
-                    _require(raw, "p_charge_max", "storage"), "storage.p_charge_max"
-                ),
-                p_discharge_max=_numeric(
-                    _require(raw, "p_discharge_max", "storage"),
-                    "storage.p_discharge_max",
-                ),
-                eta_charge=_numeric(raw.get("eta_charge", 1.0), "storage.eta_charge"),
-                eta_discharge=_numeric(
-                    raw.get("eta_discharge", 1.0), "storage.eta_discharge"
-                ),
-                e_initial=(
-                    None
-                    if raw.get("e_initial") is None
-                    else _numeric(raw["e_initial"], "storage.e_initial")
-                ),
-            )
-        )
-    loads = []
-    for raw in data.get("loads", []):
-        loads.append(
-            LoadPoint(
-                id=str(_require(raw, "id", "load")),
-                bus=str(_require(raw, "bus", "load")),
-                p_min=_numeric(raw.get("p_min", 0.0), "load.p_min"),
-                p_max=_numeric(raw.get("p_max", 0.0), "load.p_max"),
-                q_min=_numeric(raw.get("q_min", 0.0), "load.q_min"),
-                q_max=_numeric(raw.get("q_max", 0.0), "load.q_max"),
-            )
-        )
+    records = {}
+    for name, (_, where, entries) in _COMPILED.items():
+        raws = data.get(name, [])
+        if not isinstance(raws, list):
+            raise ParseError(f"{name}: expected an array of objects")
+        records[name] = [_read_record(raw, where, entries) for raw in raws]
+    for name, attr in _ATTACHED:
+        members: dict = {}
+        for kw in records[name]:
+            members.setdefault(kw["bus"], []).append(kw["id"])
+        for kw in records["buses"]:
+            kw[attr] = tuple(members.get(kw["id"], ()))
 
-    net = _attach(NetworkModel(tuple(buses), tuple(lines), tuple(ders), tuple(storage), tuple(loads)))
+    net = NetworkModel(**{
+        name: tuple(cls(**kw) for kw in records[name])
+        for name, (cls, _, _) in _COMPILED.items()
+    })
     validate_network(net)
     return net
-
-
-def _attach(net: NetworkModel) -> NetworkModel:
-    """Fill the per-bus attachment tuples from the entity lists."""
-    gens: dict = {b.id: [] for b in net.buses}
-    lds: dict = {b.id: [] for b in net.buses}
-    sto: dict = {b.id: [] for b in net.buses}
-    for d in net.ders:
-        gens.setdefault(d.bus, []).append(d.id)
-    for l in net.loads:
-        lds.setdefault(l.bus, []).append(l.id)
-    for s in net.storage:
-        sto.setdefault(s.bus, []).append(s.id)
-    buses = tuple(
-        replace(
-            b,
-            attached_generators=tuple(gens.get(b.id, ())),
-            attached_loads=tuple(lds.get(b.id, ())),
-            attached_storage=tuple(sto.get(b.id, ())),
-        )
-        for b in net.buses
-    )
-    return NetworkModel(buses, net.lines, net.ders, net.storage, net.loads)
 
 
 def validate_network(net: NetworkModel) -> None:
@@ -628,67 +645,15 @@ def load_scenario(path, partition: BlockPartition) -> Scenario:
 def network_to_dict(net: NetworkModel) -> dict:
     """Serialize a NetworkModel to the JSON schema accepted by parse_network."""
     return {
-        "buses": [
-            {
-                "id": b.id,
-                "is_substation": b.is_substation,
-                "v_min": b.v_min,
-                "v_max": b.v_max,
-            }
-            for b in net.buses
-        ],
-        "lines": [
-            {
-                "id": l.id,
-                "from": l.from_bus,
-                "to": l.to_bus,
-                "r": l.resistance,
-                "x": l.reactance,
-                "p_min": l.p_min,
-                "p_max": l.p_max,
-                "q_min": l.q_min,
-                "q_max": l.q_max,
-                "switchable": l.switchable,
-            }
-            for l in net.lines
-        ],
-        "ders": [
-            {
-                "id": d.id,
-                "bus": d.bus,
-                "p_min": d.p_min,
-                "p_max": d.p_max,
-                "q_min": d.q_min,
-                "q_max": d.q_max,
-                "ramp_up": d.ramp_up if d.ramp_up != INF else None,
-                "ramp_down": d.ramp_down if d.ramp_down != INF else None,
-                "can_grid_form": d.can_grid_form,
-                "dispatchable": d.dispatchable,
-            }
-            for d in net.ders
-        ],
-        "storage": [
-            {
-                "id": s.id,
-                "bus": s.bus,
-                "e_max": s.e_max,
-                "p_charge_max": s.p_charge_max,
-                "p_discharge_max": s.p_discharge_max,
-                "eta_charge": s.eta_charge,
-                "eta_discharge": s.eta_discharge,
-                "e_initial": s.e_initial,
-            }
-            for s in net.storage
-        ],
-        "loads": [
-            {
-                "id": ld.id,
-                "bus": ld.bus,
-                "p_min": ld.p_min,
-                "p_max": ld.p_max,
-                "q_min": ld.q_min,
-                "q_max": ld.q_max,
-            }
-            for ld in net.loads
-        ],
+        name: [
+            {key: _to_json(read, getattr(obj, attr))
+             for key, attr, read, _, _ in entries}
+            for obj in getattr(net, name)
+        ]
+        for name, (_, _, entries) in _COMPILED.items()
     }
+
+
+def _to_json(read, value):
+    """Invert a reader: an unlimited ramp is written back as null."""
+    return None if read is _unlimited and value == INF else value

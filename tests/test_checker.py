@@ -1,10 +1,15 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
 from gridshed import (
     DimensionError,
+    GridshedError,
+    ParseError,
+    Schedule,
     build_model,
     compute_load_blocks,
     parse_network,
@@ -18,11 +23,20 @@ from gridshed import (
 from gridshed.analysis import extract_schedule
 from gridshed.checker import (
     CHECK_FAMILY_OF_GROUP,
+    SERIES,
     block_budget_violations,
     equity_violations,
+    validate_schedule_dims,
 )
 from gridshed.formulation import ROW_GROUPS
-from gridshed.instances import load_case, small_network, thirteen_bus_scenario
+from gridshed.instances import (
+    desk_network,
+    desk_scenario,
+    load_case,
+    small_network,
+    thirteen_bus_network,
+    thirteen_bus_scenario,
+)
 from gridshed.solver import solve_milp
 
 # a known-good shutoff rotation: emergency block 5 always on, at most
@@ -281,6 +295,95 @@ class TestVerifySchedule:
         report = verify_schedule(net, part, scen, again, "equitable")
         assert report.passed
         assert np.array_equal(again.block_status, sched.block_status)
+
+
+def _ones_to(doc, value):
+    """Replace every 1 in a status grid or map of status series."""
+    rows = doc if isinstance(doc, list) else doc.values()
+    for row in rows:
+        row[:] = [value if x == 1 else x for x in row]
+
+
+class TestScheduleDocument:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_dispatch_raises(self, solved, value):
+        net, part, scen, sched = solved
+        bad = dataclasses.replace(
+            sched,
+            flow_p={k: np.full_like(v, value) for k, v in sched.flow_p.items()},
+            pg={k: np.full_like(v, value) for k, v in sched.pg.items()},
+        )
+        with pytest.raises(DimensionError, match="non-finite"):
+            verify_schedule(net, part, scen, bad, "equitable")
+
+    @pytest.mark.parametrize("section, value", [
+        ("block_status", 1.5), ("switch_status", 1.9),
+    ])
+    def test_fractional_status_rejected(self, solved, section, value):
+        doc = schedule_to_dict(solved[3])
+        _ones_to(doc[section], value)
+        with pytest.raises(ParseError, match="integers"):
+            schedule_from_dict(doc)
+
+    @pytest.mark.parametrize("horizon", [8.9, 8.0, True, "8", None])
+    def test_horizon_must_be_an_integer(self, solved, horizon):
+        doc = schedule_to_dict(solved[3])
+        doc["horizon"] = horizon
+        with pytest.raises(ParseError, match="horizon"):
+            schedule_from_dict(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["dispatch"].update(pg=[1, 2]),
+        lambda doc: doc.update(dispatch=[]),
+        lambda doc: doc.update(grid_forming=None),
+        lambda doc: doc["switch_status"].update(l01=[[0, 1]] * 8),
+        lambda doc: doc["dispatch"]["pd"].update(d1=0.5),
+        lambda doc: doc["dispatch"]["qd"].update(d1=[[0.5]] * 8),
+    ], ids=["pg-list", "dispatch-list", "forming-null", "nested-status",
+            "scalar-series", "nested-series"])
+    def test_malformed_document_raises_package_error(self, solved, edit):
+        net, part, scen, sched = solved
+        doc = json.loads(json.dumps(schedule_to_dict(sched)))
+        edit(doc)
+        with pytest.raises(GridshedError):
+            verify_schedule(net, part, scen, schedule_from_dict(doc),
+                            "equitable")
+
+    def test_series_table_matches_schedule_fields(self):
+        assert ["horizon", "block_status"] + [s[0] for s in SERIES] == [
+            f.name for f in dataclasses.fields(Schedule)
+        ]
+
+    @pytest.mark.parametrize("net_doc, scen_doc", [
+        (thirteen_bus_network(), thirteen_bus_scenario()),
+        (desk_network(seed=3), desk_scenario(seed=3)),
+        (small_network(seed=1, with_storage=True),
+         {"horizon": 3, "risk": [[1.0] * 3] * 3}),
+    ], ids=["13bus", "desk3", "small+storage"])
+    def test_document_roundtrip_keeps_layout(self, net_doc, scen_doc):
+        net, part, scen = load_case(net_doc, scen_doc)
+        T = scen.horizon
+        rng = np.random.default_rng(0)
+        sched = Schedule(
+            horizon=T,
+            block_status=rng.integers(0, 2, (part.n_blocks, T)),
+            **{name: {e.id: rng.integers(0, 2, T) if status
+                      else rng.normal(size=T)
+                      for e in getattr(net, entities)}
+               for name, _, entities, status in SERIES},
+        )
+        doc = schedule_to_dict(sched)
+        assert list(doc) == ["horizon", "block_status", "switch_status",
+                             "grid_forming", "dispatch"]
+        assert list(doc["dispatch"]) == [
+            "pg", "qg", "pd", "qd", "flow_p", "flow_q", "voltage_sq",
+            "storage_energy", "storage_charge", "storage_discharge",
+            "storage_on", "storage_charging", "storage_discharging",
+        ]
+        text = json.dumps(doc)
+        again = schedule_from_dict(json.loads(text))
+        assert json.dumps(schedule_to_dict(again)) == text
+        validate_schedule_dims(net, part, scen, again)
 
 
 def test_every_row_group_has_a_check_family():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,42 @@ def test_check_roundtrip_and_tamper(case_files, capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "--net", net, "--scen", scen,
                            "--schedule", str(truncated))
     assert code == 1
+
+
+def nan_flows_and_output(doc):
+    for key in ("flow_p", "pg"):
+        for series in doc["dispatch"][key].values():
+            series[:] = [math.nan] * len(series)
+
+
+@pytest.mark.parametrize("edit", [
+    nan_flows_and_output,
+    lambda doc: doc["dispatch"].update(pg=[1, 2]),
+    lambda doc: doc["switch_status"].update(
+        {k: [[0, 1]] * 3 for k in doc["switch_status"]}),
+], ids=["nan-dispatch", "pg-list", "nested-status"])
+def test_check_rejects_malformed_schedule(case_files, capsys, tmp_path, edit):
+    net, scen, _ = case_files
+    sched_path = tmp_path / "sched.json"
+    code, _, _ = run_cli(capsys, "solve", "--net", net, "--scen", scen,
+                         "--schedule-out", str(sched_path))
+    assert code == 0
+    doc = json.loads(sched_path.read_text())
+    edit(doc)
+    # json.dumps writes NaN, which json.load reads back
+    sched_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", "--net", net, "--scen", scen,
+                             "--schedule", str(sched_path))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+def test_validate_rejects_malformed_record(capsys, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"buses": [5]}))
+    code, _, err = run_cli(capsys, "validate", "--net", str(path))
+    assert code == 1
+    assert err.startswith("error: bus: expected an object")
 
 
 def test_solve_modes_match_with_default_limits(case_files, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,7 +18,21 @@ from gridshed import (
     parse_network,
     parse_scenario,
 )
-from gridshed.instances import thirteen_bus_network, thirteen_bus_scenario
+from gridshed.instances import (
+    desk_network,
+    small_network,
+    thirteen_bus_network,
+    thirteen_bus_scenario,
+)
+from gridshed.netmodel import NETWORK_RECORDS
+
+BUNDLED_NETWORKS = {
+    "13bus": thirteen_bus_network,
+    "desk0": lambda: desk_network(seed=0),
+    "desk3": lambda: desk_network(seed=3),
+    "desk4": lambda: desk_network(seed=4),
+    "small+storage": lambda: small_network(seed=1, with_storage=True),
+}
 
 
 def write_json(tmp_path, name, doc):
@@ -102,6 +117,73 @@ class TestLoadNetwork:
         net = parse_network(thirteen_bus_network())
         again = parse_network(network_to_dict(net))
         assert again == net
+
+
+class TestRecordTables:
+    @pytest.mark.parametrize("name", list(NETWORK_RECORDS))
+    def test_table_covers_every_read_field(self, name):
+        cls, _, entries = NETWORK_RECORDS[name]
+        derived = {"attached_generators", "attached_loads", "attached_storage"}
+        assert [attr for _, attr, _ in entries] == [
+            f.name for f in dataclasses.fields(cls) if f.name not in derived
+        ]
+
+    @pytest.mark.parametrize("case", list(BUNDLED_NETWORKS))
+    def test_bundled_networks_roundtrip_in_table_order(self, case):
+        net = parse_network(BUNDLED_NETWORKS[case]())
+        doc = network_to_dict(net)
+        assert list(doc) == list(NETWORK_RECORDS)
+        for name, (_, _, entries) in NETWORK_RECORDS.items():
+            for record in doc[name]:
+                assert list(record) == [key for key, _, _ in entries]
+        again = parse_network(json.loads(json.dumps(doc)))
+        assert again == net
+        assert json.dumps(network_to_dict(again)) == json.dumps(doc)
+
+    @pytest.mark.parametrize("collection, record_id, key", [
+        ("lines", "l05", "switchable"),
+        ("buses", "b01", "is_substation"),
+        ("ders", "pv1", "can_grid_form"),
+        ("ders", "pv1", "dispatchable"),
+    ])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_flags_must_be_json_booleans(self, collection, record_id, key,
+                                         value):
+        doc = thirteen_bus_network()
+        record = next(r for r in doc[collection] if r["id"] == record_id)
+        record[key] = value
+        with pytest.raises(ParseError, match=key):
+            parse_network(doc)
+
+    @pytest.mark.parametrize("collection, key", [
+        ("buses", "v_max"), ("lines", "p_max"), ("ders", "ramp_up"),
+        ("storage", "e_initial"), ("loads", "q_max"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 10**400],
+                             ids=["inf", "-inf", "oversize-int"])
+    def test_infinity_rejected(self, collection, key, value, tmp_path):
+        doc = thirteen_bus_network()
+        doc[collection][-1][key] = value
+        # json.dump writes Infinity and json.load reads it back
+        path = write_json(tmp_path, "net.json", doc)
+        with pytest.raises(ParseError, match=key):
+            load_network(path)
+
+    def test_null_ramp_is_unlimited(self):
+        doc = minimal_network(ders=[{"id": "g", "bus": "b1", "ramp_up": None,
+                                     "ramp_down": 2}])
+        der = parse_network(doc).ders[0]
+        assert der.ramp_up == math.inf and der.ramp_down == 2.0
+        assert network_to_dict(parse_network(doc))["ders"][0]["ramp_up"] is None
+
+    @pytest.mark.parametrize("doc", [
+        {"buses": [5]},
+        {"buses": {"id": "b1", "is_substation": True}},
+        minimal_network(lines=[None]),
+    ])
+    def test_malformed_records_rejected(self, doc):
+        with pytest.raises(ParseError):
+            parse_network(doc)
 
 
 class TestBlocks:
@@ -314,6 +396,29 @@ class TestScenario:
         path = write_json(tmp_path, "scen.json", doc)
         with pytest.raises(ParseError):
             load_scenario(path, part)
+
+    @pytest.mark.parametrize("doc", [
+        {"period_hours": math.inf},
+        {"period_hours": 10**400},
+        {"limits": {"rho": math.inf}},
+        {"limits": {"epsilon": -math.inf}},
+        {"limits": {"beta": math.inf}},
+        {"risk": [[1.0, math.inf]] + [[1.0] * 2] * 5},
+    ])
+    def test_infinity_rejected(self, part, doc, tmp_path):
+        doc = {"horizon": 2, "risk": [[1.0] * 2] * 6, **doc}
+        path = write_json(tmp_path, "scen.json", doc)
+        with pytest.raises(ParseError):
+            load_scenario(path, part)
+
+    def test_null_and_inf_string_disable_beta_pairs(self, part):
+        row = [2.0, None, "inf", 2.0, 2.0, 2.0]
+        scen = parse_scenario(
+            {"horizon": 2, "risk": [[1.0] * 2] * 6,
+             "limits": {"beta": [row] * 6}},
+            part,
+        )
+        assert scen.beta[0][:3] == (2.0, math.inf, math.inf)
 
     def test_negative_demand_multiplier_rejected(self, part):
         with pytest.raises(RangeError):
