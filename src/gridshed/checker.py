@@ -22,37 +22,6 @@ from .netmodel import BlockPartition, NetworkModel, Scenario, UnionFind
 RESIDUAL_TOL = 1e-6
 LOGIC_TOL = 1e-9
 
-# checker family for every row group the builder can emit
-CHECK_FAMILY_OF_GROUP = {
-    "power_flow": "voltage_drop",
-    "voltage_bounds": "voltage_gating",
-    "gen_bounds": "gen_gating",
-    "load_bounds": "load_gating",
-    "ramping": "ramping",
-    "flow_gating": "flow_gating",
-    "nodal_balance": "nodal_balance",
-    "storage_energy": "storage_energy",
-    "storage_status": "storage_status",
-    "wildfire_cap": "wildfire_cap",
-    "block_budget": "block_budget",
-    "switch_budget": "switch_budget",
-    "alignment": "alignment",
-    "tree_cardinality": "radiality",
-    "tree_membership": "radiality",
-    "tree_switch_link": "radiality",
-    "commodity_balance": "radiality",
-    "commodity_capacity": "radiality",
-    "forming_bounds": "grid_forming",
-    "forming_output": "grid_forming",
-    "forming_support": "grid_forming",
-    "alpha_cap": "alpha_cap",
-    "shed_window": "shed_window",
-    "status_changes": "status_changes",
-    "share_cap": "share_cap",
-    "pair_ratio": "pair_ratio",
-}
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Per-period decisions and dispatch for one solved horizon."""
@@ -338,13 +307,6 @@ def check_wildfire(out, scen: Scenario, z: np.ndarray) -> None:
         risk = np.array([scen.risk[k][t] for k in range(z.shape[0])])
         out.breach("wildfire_cap", "system", t, float(risk @ z[:, t]),
                    scen.epsilon * risk.sum(), RESIDUAL_TOL)
-
-
-def block_budget_violations(scen: Scenario, block_status) -> list:
-    """Per-period shed-count budget recomputed from block statuses."""
-    out = _Collector()
-    check_block_budget(out, scen, np.asarray(block_status))
-    return out.items
 
 
 def check_block_budget(out, scen: Scenario, z: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from .instances import (
     thirteen_bus_network,
     thirteen_bus_scenario,
 )
-from .netmodel import compute_load_blocks, load_network, load_scenario
+from .netmodel import compute_load_blocks, load_network, load_scenario, read_json
 from .solver import SolverOptions
 
 EXIT_OK = 0
@@ -78,8 +78,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     net, part, scen = _load_inputs(args)
-    with open(args.schedule, "r", encoding="utf-8") as fh:
-        sched = chk.schedule_from_dict(json.load(fh))
+    sched = chk.schedule_from_dict(read_json(args.schedule, "schedule"))
     report = chk.verify_schedule(net, part, scen, sched, mode=args.mode)
     json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (GridshedError, OSError, json.JSONDecodeError) as exc:
+    except (GridshedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -73,23 +73,18 @@ class VariableRef:
     period: int
     kind: str  # "C" continuous, "B" binary
 
-    @property
-    def name(self) -> str:
-        return f"{self.family}[{self.entity}@{self.period}]"
-
 
 class MilpModel:
     """Immutable standard-form model: min c'x s.t. rows, bounds, integrality.
 
-    The rows are stored once, at construction, as a CSR matrix ``A`` with
-    row bounds ``row_lo <= A x <= row_hi`` (an infinite side for ``<=`` and
-    ``>=`` rows, equal sides for ``=`` rows).  ``solver`` consumes exactly
-    this form; ``row_rels``/``row_rhs`` keep the relation view the bounds
-    were derived from.
+    The rows are stored once, as a CSR matrix ``A`` with row bounds
+    ``row_lo <= A x <= row_hi`` (an infinite side for ``<=`` and ``>=``
+    rows, equal sides for ``=`` rows); ``solver`` consumes exactly this
+    form.
     """
 
     def __init__(self, variables, lo, hi, is_binary, index,
-                 row_groups, row_rels, row_rhs, indptr, cols, vals,
+                 row_groups, row_lo, row_hi, indptr, cols, vals,
                  objective_cols, objective_vals, objective_constant):
         self.variables = variables
         self.lo = lo
@@ -97,13 +92,10 @@ class MilpModel:
         self.is_binary = is_binary
         self.index = index
         self.row_groups = row_groups
-        self.row_rels = row_rels
-        self.row_rhs = row_rhs
+        self.row_lo = row_lo
+        self.row_hi = row_hi
         self._matrix = csr_matrix((vals, cols, indptr),
-                                  shape=(len(row_rhs), len(variables)))
-        rels = np.asarray(row_rels, dtype=str)
-        self.row_lo = np.where(rels == "<=", -np.inf, row_rhs)
-        self.row_hi = np.where(rels == ">=", np.inf, row_rhs)
+                                  shape=(len(row_lo), len(variables)))
         self.objective_cols = objective_cols
         self.objective_vals = objective_vals
         self.objective_constant = objective_constant
@@ -114,18 +106,17 @@ class MilpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.row_rhs)
+        return len(self.row_lo)
 
     def col(self, family: str, entity: str, period: int) -> int:
         return self.index[(family, entity, period)]
 
     def row(self, i: int):
+        """(columns, coefficients, lower bound, upper bound) of row ``i``."""
         a = self._matrix
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        return a.indices[lo:hi], a.data[lo:hi], self.row_rels[i], self.row_rhs[i]
-
-    def binary_columns(self) -> np.ndarray:
-        return np.flatnonzero(self.is_binary)
+        start, stop = a.indptr[i], a.indptr[i + 1]
+        return (a.indices[start:stop], a.data[start:stop],
+                self.row_lo[i], self.row_hi[i])
 
     def free_binary_columns(self) -> np.ndarray:
         free = self.is_binary & (self.lo != self.hi)
@@ -136,36 +127,9 @@ class MilpModel:
         c[self.objective_cols] = self.objective_vals
         return c
 
-    def objective_value(self, values: np.ndarray) -> float:
-        return float(values[self.objective_cols] @ self.objective_vals
-                     + self.objective_constant)
-
-    def group_counts(self) -> dict:
-        counts: dict = {}
-        for g in self.row_groups:
-            counts[g] = counts.get(g, 0) + 1
-        return counts
-
     def constraint_matrix(self) -> csr_matrix:
         """The rows as a (num_rows, num_vars) CSR matrix."""
         return self._matrix
-
-    def export_text(self, stream) -> None:
-        """Plain-text standard form dump, one constraint per line."""
-        names = [v.name for v in self.variables]
-        stream.write(f"minimize {self.objective_constant:.9g}")
-        for c, v in zip(self.objective_cols, self.objective_vals):
-            stream.write(f" + {v:.9g}*{names[c]}")
-        stream.write("\n")
-        for b, v in enumerate(self.variables):
-            kind = "bin" if self.is_binary[b] else "cont"
-            stream.write(
-                f"var {v.name} {kind} [{self.lo[b]:.9g}, {self.hi[b]:.9g}]\n"
-            )
-        for i in range(self.num_rows):
-            cols, vals, rel, rhs = self.row(i)
-            terms = " + ".join(f"{v:.9g}*{names[c]}" for c, v in zip(cols, vals))
-            stream.write(f"{self.row_groups[i]}: {terms} {rel} {rhs:.9g}\n")
 
 
 class ModelBuilder:
@@ -189,8 +153,8 @@ class ModelBuilder:
         self.index: dict = {}
 
         self._row_groups: list = []
-        self._row_rels: list = []
-        self._row_rhs: list = []
+        self._row_lo: list = []
+        self._row_hi: list = []
         self._row_len: list = []
         self._cols: list = []
         self._vals: list = []
@@ -265,9 +229,10 @@ class ModelBuilder:
         return self.index[(family, entity, t)]
 
     def _row(self, group, cols, vals, rel, rhs):
+        rhs = float(rhs)
         self._row_groups.append(group)
-        self._row_rels.append(rel)
-        self._row_rhs.append(float(rhs))
+        self._row_lo.append(-math.inf if rel == "<=" else rhs)
+        self._row_hi.append(math.inf if rel == ">=" else rhs)
         self._row_len.append(len(cols))
         self._cols.extend(cols)
         self._vals.extend(vals)
@@ -814,7 +779,7 @@ class ModelBuilder:
         return self._finalize()
 
     def _finalize(self) -> MilpModel:
-        shape = (len(self._row_rhs), len(self._vars))
+        shape = (len(self._row_lo), len(self._vars))
         rows = np.repeat(np.arange(shape[0]), self._row_len)
         # one COO->CSR pass: repeated (row, col) entries are summed, since
         # solvers reject duplicates, and zero coefficients (written ones
@@ -830,8 +795,8 @@ class ModelBuilder:
             is_binary=np.asarray(self._binary, dtype=bool),
             index=dict(self.index),
             row_groups=tuple(self._row_groups),
-            row_rels=tuple(self._row_rels),
-            row_rhs=np.asarray(self._row_rhs, dtype=np.float64),
+            row_lo=np.asarray(self._row_lo, dtype=np.float64),
+            row_hi=np.asarray(self._row_hi, dtype=np.float64),
             indptr=a.indptr,
             cols=a.indices,
             vals=a.data,

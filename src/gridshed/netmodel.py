@@ -98,21 +98,13 @@ class NetworkModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_bus_index", {b.id: b for b in self.buses})
-        object.__setattr__(self, "_line_index", {l.id: l for l in self.lines})
 
     def bus(self, bus_id: str) -> Bus:
         return self._bus_index[bus_id]
 
-    def line(self, line_id: str) -> Line:
-        return self._line_index[line_id]
-
     @property
     def substation(self) -> Bus:
         return next(b for b in self.buses if b.is_substation)
-
-    @property
-    def switchable_lines(self) -> tuple:
-        return tuple(l for l in self.lines if l.switchable)
 
 
 @dataclass(frozen=True)
@@ -435,16 +427,26 @@ def validate_network(net: NetworkModel) -> None:
             )
 
 
-def load_network(path) -> NetworkModel:
-    """Parse and validate a network JSON file."""
+def read_json(path, what: str):
+    """The JSON document in file ``path``; ``what`` names it in messages.
+
+    ``json.load`` raises a plain ValueError for an integer literal too long
+    to convert, UnicodeDecodeError for undecodable bytes and RecursionError
+    for deep nesting, so all of them, not only JSONDecodeError, become a
+    ParseError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read network file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"network file {path} is not valid JSON: {exc}") from exc
-    return parse_network(data)
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_network(path) -> NetworkModel:
+    """Parse and validate a network JSON file."""
+    return parse_network(read_json(path, "network"))
 
 
 def compute_load_blocks(net: NetworkModel) -> BlockPartition:
@@ -453,8 +455,17 @@ def compute_load_blocks(net: NetworkModel) -> BlockPartition:
     Blocks are the connected components of the network after removing all
     switchable lines.  Indexing is deterministic: blocks are sorted by
     their lowest contained bus id, ascending, so input file ordering does
-    not matter.
+    not matter.  The partition is computed once per network; later calls
+    return the same object.
     """
+    part = getattr(net, "_partition", None)
+    if part is None:
+        part = _partition(net)
+        object.__setattr__(net, "_partition", part)
+    return part
+
+
+def _partition(net: NetworkModel) -> BlockPartition:
     uf = UnionFind([b.id for b in net.buses])
     for l in net.lines:
         if not l.switchable:
@@ -632,14 +643,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
 
 def load_scenario(path, partition: BlockPartition) -> Scenario:
     """Parse and validate a scenario JSON file against a partition."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return parse_scenario(data, partition)
+    return parse_scenario(read_json(path, "scenario"), partition)
 
 
 def network_to_dict(net: NetworkModel) -> dict:

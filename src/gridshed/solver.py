@@ -1,8 +1,10 @@
 """LP and MILP solving plus an exhaustive-enumeration oracle.
 
-``solve_lp`` and ``solve_milp`` wrap the HiGHS engines shipped with scipy
-behind solver-agnostic result types; runs are deterministic for identical
-inputs and options (single-threaded search, no randomized components).
+``solve_lp`` and ``solve_milp`` are the same HiGHS call (scipy's ``milp``)
+on the model's stored rows and row bounds, the relaxation with no integer
+columns, behind solver-agnostic result types; runs are deterministic for
+identical inputs and options (single-threaded search, no randomized
+components).
 
 ``brute_force_solve`` is an independent oracle for small instances: it
 enumerates every assignment of the free binary variables, screens each
@@ -26,15 +28,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import diags
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceeded, NumericalError
 from .formulation import MilpModel
 
 logger = logging.getLogger(__name__)
 
-FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
 SCREEN_TOL = 1e-9
 
@@ -44,12 +44,11 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     objective: float | None
     values: np.ndarray | None
-    dual_certificate: dict | None = None
 
 
 @dataclass(frozen=True)
 class MilpSolution:
-    status: str  # optimal | feasible-gap | infeasible | limit
+    status: str  # optimal | feasible-gap | infeasible | unbounded | limit
     objective: float | None
     best_bound: float | None
     gap: float
@@ -64,45 +63,42 @@ class SolverOptions:
     time_limit: float | None = None
 
 
+def _highs(model: MilpModel, integrality: np.ndarray, bounds: Bounds,
+           options: dict):
+    """One HiGHS call on the stored form: (status, scipy result).
+
+    The status is ``infeasible`` or ``unbounded`` when HiGHS proved so,
+    otherwise None and the caller reads the result.
+    """
+    constraints = []
+    if model.num_rows:
+        constraints.append(LinearConstraint(model.constraint_matrix(),
+                                            model.row_lo, model.row_hi))
+    res = milp(c=model.objective_vector(), constraints=constraints,
+               integrality=integrality, bounds=bounds, options=options)
+    if res.status == 2 or (res.status == 4 and "infeasible" in (res.message or "").lower()):
+        return "infeasible", res
+    if res.status == 3:
+        return "unbounded", res
+    return None, res
+
+
 def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> LpSolution:
     """Solve the continuous relaxation (all integrality dropped).
 
     ``bounds`` optionally overrides the model's variable bounds with an
     (n, 2) array; used by the enumeration oracle to pin binaries.
     """
-    a = model.constraint_matrix()
-    rels = np.asarray(model.row_rels, dtype=str)
-    eq = rels == "="
-    # linprog takes A_ub x <= b_ub: >= rows enter negated, in model order
-    sign = np.where(rels[~eq] == ">=", -1.0, 1.0)
-    if bounds is None:
-        bounds = np.column_stack([model.lo, model.hi])
-    res = linprog(
-        model.objective_vector(),
-        A_ub=diags(sign) @ a[~eq],
-        b_ub=sign * model.row_rhs[~eq],
-        A_eq=a[eq],
-        b_eq=model.row_rhs[eq],
-        bounds=bounds,
-        method="highs",
-        options={"primal_feasibility_tolerance": FEASIBILITY_TOL},
-    )
-    if res.status == 0:
-        duals = {
-            "ineq": None if res.ineqlin is None else np.asarray(res.ineqlin.marginals),
-            "eq": None if res.eqlin is None else np.asarray(res.eqlin.marginals),
-        }
-        return LpSolution(
-            status="optimal",
-            objective=float(res.fun) + model.objective_constant,
-            values=np.asarray(res.x),
-            dual_certificate=duals,
-        )
-    if res.status == 2:
-        return LpSolution(status="infeasible", objective=None, values=None)
-    if res.status == 3:
-        return LpSolution(status="unbounded", objective=None, values=None)
-    raise NumericalError(f"LP solve failed: {res.message}")
+    box = (Bounds(model.lo, model.hi) if bounds is None
+           else Bounds(bounds[:, 0], bounds[:, 1]))
+    status, res = _highs(model, np.zeros(model.num_vars), box, {})
+    if status is not None:
+        return LpSolution(status=status, objective=None, values=None)
+    if res.status != 0:
+        raise NumericalError(f"LP solve failed: {res.message}")
+    return LpSolution(status="optimal",
+                      objective=float(res.fun) + model.objective_constant,
+                      values=np.asarray(res.x))
 
 
 def _relative_gap(objective: float, bound: float) -> float:
@@ -114,40 +110,26 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
 
     Status is ``optimal`` when the gap closed to numerical zero,
     ``feasible-gap`` when it stopped within the target, ``limit`` when a
-    node or time limit fired first, ``infeasible`` otherwise.
+    node or time limit fired first, ``infeasible`` or ``unbounded`` when
+    HiGHS proved so.
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
-
-    constraints = []
-    if model.num_rows:
-        constraints.append(LinearConstraint(model.constraint_matrix(),
-                                            model.row_lo, model.row_hi))
-
     options = {"mip_rel_gap": opts.gap_target, "presolve": True}
     if opts.time_limit is not None:
         options["time_limit"] = float(opts.time_limit)
     if opts.node_limit is not None:
         options["node_limit"] = int(opts.node_limit)
+    status, res = _highs(model, model.is_binary.astype(np.int64),
+                         Bounds(model.lo, model.hi), options)
+    stats = {"nodes": _nodes(res),
+             "wall_ms": (time.perf_counter() - t0) * 1e3}
 
-    res = milp(
-        c=model.objective_vector(),
-        constraints=constraints,
-        integrality=model.is_binary.astype(np.int64),
-        bounds=Bounds(model.lo, model.hi),
-        options=options,
-    )
-    wall_ms = (time.perf_counter() - t0) * 1e3
-
-    if res.status == 2 or (res.status == 4 and "infeasible" in (res.message or "").lower()):
-        return MilpSolution("infeasible", None, None, 0.0, None,
-                            {"nodes": _nodes(res), "lp_solves": None,
-                             "wall_ms": wall_ms})
+    if status is not None:
+        return MilpSolution(status, None, None, 0.0, None, stats)
     if res.x is None:
         if res.status == 1:
-            return MilpSolution("limit", None, None, math.inf, None,
-                                {"nodes": _nodes(res), "lp_solves": None,
-                                 "wall_ms": wall_ms})
+            return MilpSolution("limit", None, None, math.inf, None, stats)
         raise NumericalError(f"MILP solve failed: {res.message}")
 
     values = np.asarray(res.x)
@@ -169,7 +151,6 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
     else:
         raise NumericalError(f"MILP solve failed: {res.message}")
 
-    stats = {"nodes": _nodes(res), "lp_solves": None, "wall_ms": wall_ms}
     logger.debug("node=%s obj=%.9g bound=%.9g gap=%.3g",
                  stats["nodes"], objective, bound, gap)
     return MilpSolution(status, objective, bound, gap, values, stats)
@@ -185,16 +166,16 @@ def _screenable_rows(model: MilpModel, enum_set: set, fixed: np.ndarray):
     rewritten as A x_enum <= b with fixed contributions folded into b."""
     rows = []
     for i in range(model.num_rows):
-        cols, vals, rel, rhs = model.row(i)
+        cols, vals, lo, hi = model.row(i)
         ok = all((c in enum_set) or fixed[c] for c in cols)
         if not ok:
             continue
-        base = rhs - sum(v * model.lo[c] for c, v in zip(cols, vals) if fixed[c])
+        pinned = sum(v * model.lo[c] for c, v in zip(cols, vals) if fixed[c])
         enum_terms = [(c, v) for c, v in zip(cols, vals) if c in enum_set]
-        if rel in ("<=", "="):
-            rows.append((enum_terms, base))
-        if rel in (">=", "="):
-            rows.append(([(c, -v) for c, v in enum_terms], -base))
+        if math.isfinite(hi):
+            rows.append((enum_terms, hi - pinned))
+        if math.isfinite(lo):
+            rows.append(([(c, -v) for c, v in enum_terms], pinned - lo))
     return rows
 
 

@@ -22,9 +22,9 @@ from gridshed import (
 )
 from gridshed.analysis import extract_schedule
 from gridshed.checker import (
-    CHECK_FAMILY_OF_GROUP,
     SERIES,
-    block_budget_violations,
+    _Collector,
+    check_block_budget,
     equity_violations,
     validate_schedule_dims,
 )
@@ -72,7 +72,9 @@ class TestEquityCounts:
     def test_rotation_passes_reference_limits(self, scen6):
         scen = scen6()
         assert equity_violations(scen, ROTATION) == []
-        assert block_budget_violations(scen, ROTATION) == []
+        out = _Collector()
+        check_block_budget(out, scen, ROTATION)
+        assert out.items == []
 
     def test_emergency_breach_flagged(self, scen6):
         z = ROTATION.copy()
@@ -216,7 +218,7 @@ class TestVerifySchedule:
         # close every switch in some period: the network has one more
         # line than a spanning tree, so this must create a cycle
         switch = dict(sched.switch_status)
-        for line in net.switchable_lines:
+        for line in (l for l in net.lines if l.switchable):
             switch[line.id] = switch[line.id].copy()
             switch[line.id][:] = 1
         z = sched.block_status.copy()
@@ -384,6 +386,37 @@ class TestScheduleDocument:
         again = schedule_from_dict(json.loads(text))
         assert json.dumps(schedule_to_dict(again)) == text
         validate_schedule_dims(net, part, scen, again)
+
+
+# checker family for every row group the builder can emit
+CHECK_FAMILY_OF_GROUP = {
+    "power_flow": "voltage_drop",
+    "voltage_bounds": "voltage_gating",
+    "gen_bounds": "gen_gating",
+    "load_bounds": "load_gating",
+    "ramping": "ramping",
+    "flow_gating": "flow_gating",
+    "nodal_balance": "nodal_balance",
+    "storage_energy": "storage_energy",
+    "storage_status": "storage_status",
+    "wildfire_cap": "wildfire_cap",
+    "block_budget": "block_budget",
+    "switch_budget": "switch_budget",
+    "alignment": "alignment",
+    "tree_cardinality": "radiality",
+    "tree_membership": "radiality",
+    "tree_switch_link": "radiality",
+    "commodity_balance": "radiality",
+    "commodity_capacity": "radiality",
+    "forming_bounds": "grid_forming",
+    "forming_output": "grid_forming",
+    "forming_support": "grid_forming",
+    "alpha_cap": "alpha_cap",
+    "shed_window": "shed_window",
+    "status_changes": "status_changes",
+    "share_cap": "share_cap",
+    "pair_ratio": "pair_ratio",
+}
 
 
 def test_every_row_group_has_a_check_family():

@@ -227,3 +227,37 @@ def test_workers_env_garbage_falls_back(case_files, capsys, monkeypatch):
         "--param", "epsilon", "--values", "1.0",
     )
     assert code == 0
+
+
+HUGE = "1" * 5000  # json.load raises a plain ValueError past 4300 digits
+
+
+@pytest.mark.parametrize("target", ["net", "scen", "schedule"])
+def test_oversized_integer_is_input_error(case_files, capsys, tmp_path, target):
+    net, scen, _ = case_files
+    sched_path = tmp_path / "sched.json"
+    code, _, _ = run_cli(capsys, "solve", "--net", net, "--scen", scen,
+                         "--schedule-out", str(sched_path))
+    assert code == 0
+    files = {"net": net, "scen": scen, "schedule": str(sched_path)}
+    with open(files[target], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    record = doc["buses"][0] if target == "net" else doc
+    record["v_max" if target == "net" else "horizon"] = "HUGE"
+    bad = tmp_path / f"huge-{target}.json"
+    bad.write_text(json.dumps(doc).replace('"HUGE"', HUGE))
+    files[target] = str(bad)
+    code, out, err = run_cli(capsys, "check", "--net", files["net"],
+                             "--scen", files["scen"],
+                             "--schedule", files["schedule"])
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert "is not valid JSON" in err and f"huge-{target}.json" in err
+
+
+def test_deeply_nested_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"buses": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "validate", "--net", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("error: network file")

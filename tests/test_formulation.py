@@ -1,5 +1,5 @@
-import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ def expected_group_counts(net, part, scen, mode):
     """Closed-form row counts per constraint group, recomputed from the
     instance data independently of the builder's own bookkeeping."""
     N, L = len(net.buses), len(net.lines)
-    Lsw = len(net.switchable_lines)
+    Lsw = sum(l.switchable for l in net.lines)
     B, T = part.n_blocks, scen.horizon
     G, D, S = len(net.ders), len(net.loads), len(net.storage)
     emergency = scen.emergency if mode == "equitable" else frozenset()
@@ -94,7 +94,7 @@ def expected_group_counts(net, part, scen, mode):
 def test_row_count_audit_microgrid(microgrid_case, mode):
     net, part, scen = microgrid_case
     model = build_model(net, part, scen, mode)
-    assert model.group_counts() == expected_group_counts(net, part, scen, mode)
+    assert Counter(model.row_groups) == expected_group_counts(net, part, scen, mode)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -107,7 +107,7 @@ def test_row_count_audit_small(seed):
                        equity=True),
     )
     model = build_model(net, part, scen, "equitable")
-    assert model.group_counts() == expected_group_counts(
+    assert Counter(model.row_groups) == expected_group_counts(
         net, part, scen, "equitable"
     )
 
@@ -338,7 +338,7 @@ def test_objective_coefficients(microgrid_case):
     for k in range(part.n_blocks):
         for t in range(scen.horizon):
             all_on[model.col("z", f"blk{k}", t)] = 1.0
-    assert model.objective_value(all_on) == pytest.approx(0.0, abs=1e-12)
+    assert c @ all_on + model.objective_constant == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vulnerability_term_in_equitable_objective(microgrid_case):
@@ -368,18 +368,18 @@ def test_mode_equivalence_with_default_limits(seed):
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
 
-def test_export_text_is_deterministic(microgrid_case):
+def test_stored_form_is_deterministic(microgrid_case):
     net, part, scen = microgrid_case
-    dumps = []
-    for _ in range(2):
-        model = build_model(net, part, scen, "equitable")
-        buf = io.StringIO()
-        model.export_text(buf)
-        dumps.append(buf.getvalue())
-    assert dumps[0] == dumps[1]
-    lines = dumps[0].splitlines()
-    model = build_model(net, part, scen, "equitable")
-    assert len(lines) == 1 + model.num_vars + model.num_rows
+    a, b = (build_model(net, part, scen, "equitable") for _ in range(2))
+    for attr in ("lo", "hi", "is_binary", "row_lo", "row_hi",
+                 "objective_cols", "objective_vals"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+    assert a.row_groups == b.row_groups
+    assert a.variables == b.variables
+    ma, mb = a.constraint_matrix(), b.constraint_matrix()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ma, attr), getattr(mb, attr)), attr
+    assert len(a.row_groups) == a.num_rows == ma.shape[0]
 
 
 def test_repeated_columns_stored_once_with_summed_coefficient():
@@ -389,10 +389,22 @@ def test_repeated_columns_stored_once_with_summed_coefficient():
     builder.register_variables()
     builder._row("power_flow", [3, 1, 3, 2, 2], [1.0, 2.0, 0.5, 4.0, -4.0],
                  "<=", 1.0)
-    cols, vals, rel, rhs = builder._finalize().row(0)
+    cols, vals, lo, hi = builder._finalize().row(0)
     assert cols.tolist() == [1, 3]
     assert vals.tolist() == [2.0, 1.5]
-    assert (rel, rhs) == ("<=", 1.0)
+    assert (lo, hi) == (-math.inf, 1.0)
+
+
+def test_relations_stored_as_row_bounds():
+    net, part, scen = load_case(small_network(seed=0, n_blocks=2),
+                                small_scenario(seed=0, n_blocks=2, horizon=1))
+    builder = ModelBuilder(net, part, scen, "original")
+    builder.register_variables()
+    for rel in ("<=", ">=", "="):
+        builder._row("power_flow", [0], [1.0], rel, 2)
+    model = builder._finalize()
+    assert model.row_lo.tolist() == [-math.inf, 2.0, 2.0]
+    assert model.row_hi.tolist() == [2.0, math.inf, 2.0]
 
 
 @pytest.mark.parametrize("mode", ["original", "equitable"])
@@ -405,8 +417,8 @@ def test_standard_form_has_no_stored_zeros(microgrid_case, mode):
     # the per-period token identity writes the root block's z as +1 (the
     # substation token) and -1 (an energized block): the entry must vanish
     root = part.block_of(net.substation.id)
-    support_eq = np.array([g == "forming_support" and r == "="
-                           for g, r in zip(model.row_groups, model.row_rels)])
+    support_eq = (np.array([g == "forming_support" for g in model.row_groups])
+                  & (model.row_lo == model.row_hi))
     for t in range(scen.horizon):
         zinv = [model.col("zinv", d.id, t)
                 for d in net.ders if d.can_grid_form]

@@ -20,7 +20,7 @@ def test_minimal_instance_binary_families():
         {"horizon": 1, "risk": [[1.0]]},
     )
     model = build_model(net, part, scen, "original")
-    families = {model.variables[c].family for c in model.binary_columns()}
+    families = {model.variables[c].family for c in np.flatnonzero(model.is_binary)}
     assert families == {"z", "zinv"}
     sol = solve_milp(model)
     assert sol.status == "optimal"

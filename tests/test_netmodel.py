@@ -54,7 +54,7 @@ class TestLoadNetwork:
         assert len(net.buses) == 23
         part = compute_load_blocks(net)
         assert part.n_blocks == 6
-        assert len(net.switchable_lines) == 6
+        assert sum(l.switchable for l in net.lines) == 6
         # six DER units next to the substation intertie
         assert len(net.ders) + len(net.storage) == 7
 
@@ -187,6 +187,15 @@ class TestRecordTables:
 
 
 class TestBlocks:
+    def test_partition_computed_once_per_network(self):
+        net = parse_network(thirteen_bus_network())
+        assert compute_load_blocks(net) is compute_load_blocks(net)
+        # a copy with other lines is another network, with its own partition
+        opened = dataclasses.replace(net, lines=tuple(
+            dataclasses.replace(l, switchable=True) if l.id == "l05" else l
+            for l in net.lines))
+        assert compute_load_blocks(opened).n_blocks == 7
+
     def test_no_switches_single_block(self):
         doc = {
             "buses": [{"id": "a", "is_substation": True}, {"id": "b"}],
