@@ -102,7 +102,7 @@ def extract_schedule(model: MilpModel, values: np.ndarray, net: NetworkModel,
     T = scen.horizon
 
     def read(family, entity, status) -> np.ndarray:
-        v = values[[model.col(family, entity, t) for t in range(T)]]
+        v = values[model.series[(family, entity)]]
         if not status:
             return v
         r = np.round(v)

@@ -343,12 +343,14 @@ def check_islands(out, net: NetworkModel, part: BlockPartition,
     can_form = {d.id for d in net.ders if d.can_grid_form}
     for t in range(sched.horizon):
         forming = sched.forming_units(t)
-        for did in forming - can_form:
-            out.residual("grid_forming", did, t, 1.0, LOGIC_TOL)
-        for did in forming & can_form:
-            block = part.block_of(next(d.bus for d in net.ders if d.id == did))
-            if z[block, t] == 0:
-                out.residual("grid_forming", f"{did}:dead-block", t, 1.0,
+        # schedule order, so ids the network does not know are flagged too
+        for did, series in sched.grid_forming.items():
+            if series[t] == 1 and did not in can_form:
+                out.residual("grid_forming", did, t, 1.0, LOGIC_TOL)
+        for d in net.ders:
+            if (d.id in forming and d.can_grid_form
+                    and z[part.block_of(d.bus), t] == 0):
+                out.residual("grid_forming", f"{d.id}:dead-block", t, 1.0,
                              LOGIC_TOL)
         result = radiality_check(net, sched.closed_lines(t), forming)
         for island in result.islands:
@@ -365,48 +367,40 @@ def check_islands(out, net: NetworkModel, part: BlockPartition,
                              island.former_count - 1, LOGIC_TOL)
 
 
+def _gated(out, family, entity, t, x, live, lo, hi) -> None:
+    """x must be zero when its gate is off, within [lo, hi] when on."""
+    if not live:
+        out.residual(family, entity, t, x, RESIDUAL_TOL)
+    else:
+        out.breach(family, entity, t, x, hi, RESIDUAL_TOL)
+        out.breach(family, entity, t, lo, x, RESIDUAL_TOL)
+
+
 def check_gating(out, net: NetworkModel, part: BlockPartition, scen: Scenario,
                  sched: Schedule, z: np.ndarray) -> None:
     for b in net.buses:
         k = part.block_of(b.id)
         w = sched.voltage_sq[b.id]
         for t in range(scen.horizon):
-            if z[k, t] == 0:
-                out.residual("voltage_gating", b.id, t, w[t], RESIDUAL_TOL)
-            else:
-                out.breach("voltage_gating", b.id, t, w[t], b.v_max ** 2,
-                           RESIDUAL_TOL)
-                out.breach("voltage_gating", b.id, t, b.v_min ** 2, w[t],
-                           RESIDUAL_TOL)
+            _gated(out, "voltage_gating", b.id, t, w[t], z[k, t] != 0,
+                   b.v_min ** 2, b.v_max ** 2)
     for d in net.ders:
         k = part.block_of(d.bus)
         for t in range(scen.horizon):
-            pg, qg = sched.pg[d.id][t], sched.qg[d.id][t]
-            if z[k, t] == 0:
-                out.residual("gen_gating", d.id, t, pg, RESIDUAL_TOL)
-                out.residual("gen_gating", d.id, t, qg, RESIDUAL_TOL)
-            else:
-                out.breach("gen_gating", d.id, t, pg, d.p_max, RESIDUAL_TOL)
-                out.breach("gen_gating", d.id, t, d.p_min, pg, RESIDUAL_TOL)
-                out.breach("gen_gating", d.id, t, qg, d.q_max, RESIDUAL_TOL)
-                out.breach("gen_gating", d.id, t, d.q_min, qg, RESIDUAL_TOL)
+            live = z[k, t] != 0
+            _gated(out, "gen_gating", d.id, t, sched.pg[d.id][t], live,
+                   d.p_min, d.p_max)
+            _gated(out, "gen_gating", d.id, t, sched.qg[d.id][t], live,
+                   d.q_min, d.q_max)
     for ld in net.loads:
         k = part.block_of(ld.bus)
         for t in range(scen.horizon):
             mult = scen.demand_multiplier[t]
-            pd, qd = sched.pd[ld.id][t], sched.qd[ld.id][t]
-            if z[k, t] == 0:
-                out.residual("load_gating", ld.id, t, pd, RESIDUAL_TOL)
-                out.residual("load_gating", ld.id, t, qd, RESIDUAL_TOL)
-            else:
-                out.breach("load_gating", ld.id, t, pd, ld.p_max * mult,
-                           RESIDUAL_TOL)
-                out.breach("load_gating", ld.id, t, ld.p_min * mult, pd,
-                           RESIDUAL_TOL)
-                out.breach("load_gating", ld.id, t, qd, ld.q_max * mult,
-                           RESIDUAL_TOL)
-                out.breach("load_gating", ld.id, t, ld.q_min * mult, qd,
-                           RESIDUAL_TOL)
+            live = z[k, t] != 0
+            _gated(out, "load_gating", ld.id, t, sched.pd[ld.id][t], live,
+                   ld.p_min * mult, ld.p_max * mult)
+            _gated(out, "load_gating", ld.id, t, sched.qd[ld.id][t], live,
+                   ld.q_min * mult, ld.q_max * mult)
 
 
 def check_ramping(out, net: NetworkModel, sched: Schedule) -> None:
@@ -429,25 +423,25 @@ def check_power_flow(out, net: NetworkModel, sched: Schedule) -> None:
         wf = sched.voltage_sq[line.from_bus]
         wt = sched.voltage_sq[line.to_bus]
         for t in range(sched.horizon):
-            if status[t] == 1:
+            live = status[t] == 1
+            if live:
                 drop = wt[t] - wf[t] + 2.0 * (
                     line.resistance * p[t] + line.reactance * q[t]
                 )
                 out.residual("voltage_drop", line.id, t, drop, RESIDUAL_TOL)
-                out.breach("flow_gating", line.id, t, p[t], line.p_max,
-                           RESIDUAL_TOL)
-                out.breach("flow_gating", line.id, t, line.p_min, p[t],
-                           RESIDUAL_TOL)
-                out.breach("flow_gating", line.id, t, q[t], line.q_max,
-                           RESIDUAL_TOL)
-                out.breach("flow_gating", line.id, t, line.q_min, q[t],
-                           RESIDUAL_TOL)
-            else:
-                out.residual("flow_gating", line.id, t, p[t], RESIDUAL_TOL)
-                out.residual("flow_gating", line.id, t, q[t], RESIDUAL_TOL)
+            _gated(out, "flow_gating", line.id, t, p[t], live,
+                   line.p_min, line.p_max)
+            _gated(out, "flow_gating", line.id, t, q[t], live,
+                   line.q_min, line.q_max)
 
 
 def check_balance(out, net: NetworkModel, sched: Schedule) -> None:
+    # each bus's line ends in line order: -1 where a line leaves, +1 where
+    # it arrives
+    ends: dict = {b.id: [] for b in net.buses}
+    for line in net.lines:
+        ends[line.from_bus].append((line.id, -1.0))
+        ends[line.to_bus].append((line.id, 1.0))
     for b in net.buses:
         for t in range(sched.horizon):
             p = sum(sched.pg[g][t] for g in b.attached_generators)
@@ -458,13 +452,9 @@ def check_balance(out, net: NetworkModel, sched: Schedule) -> None:
             p -= sum(sched.pd[l][t] for l in b.attached_loads)
             q = sum(sched.qg[g][t] for g in b.attached_generators)
             q -= sum(sched.qd[l][t] for l in b.attached_loads)
-            for line in net.lines:
-                if line.from_bus == b.id:
-                    p -= sched.flow_p[line.id][t]
-                    q -= sched.flow_q[line.id][t]
-                elif line.to_bus == b.id:
-                    p += sched.flow_p[line.id][t]
-                    q += sched.flow_q[line.id][t]
+            for lid, sign in ends[b.id]:
+                p += sign * sched.flow_p[lid][t]
+                q += sign * sched.flow_q[lid][t]
             out.residual("nodal_balance", b.id, t, p, RESIDUAL_TOL)
             out.residual("nodal_balance", f"{b.id}:q", t, q, RESIDUAL_TOL)
 

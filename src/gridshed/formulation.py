@@ -24,7 +24,6 @@ vulnerability-weighted objective term.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -65,51 +64,40 @@ ROW_GROUPS = (
 )
 
 
-@dataclass(frozen=True)
-class VariableRef:
-    index: int
-    family: str
-    entity: str
-    period: int
-    kind: str  # "C" continuous, "B" binary
-
-
 class MilpModel:
     """Immutable standard-form model: min c'x s.t. rows, bounds, integrality.
 
     The rows are stored once, as a CSR matrix ``A`` with row bounds
     ``row_lo <= A x <= row_hi`` (an infinite side for ``<=`` and ``>=``
     rows, equal sides for ``=`` rows); ``solver`` consumes exactly this
-    form.
+    form.  ``series[(family, entity)]`` is the range of one variable
+    series' columns in period order; the series partition the columns
+    in registration order.
     """
 
-    def __init__(self, variables, lo, hi, is_binary, index,
+    def __init__(self, series, lo, hi, is_binary,
                  row_groups, row_lo, row_hi, indptr, cols, vals,
                  objective_cols, objective_vals, objective_constant):
-        self.variables = variables
+        self.series = series
         self.lo = lo
         self.hi = hi
         self.is_binary = is_binary
-        self.index = index
         self.row_groups = row_groups
         self.row_lo = row_lo
         self.row_hi = row_hi
         self._matrix = csr_matrix((vals, cols, indptr),
-                                  shape=(len(row_lo), len(variables)))
+                                  shape=(len(row_lo), len(lo)))
         self.objective_cols = objective_cols
         self.objective_vals = objective_vals
         self.objective_constant = objective_constant
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self.lo)
 
     @property
     def num_rows(self) -> int:
         return len(self.row_lo)
-
-    def col(self, family: str, entity: str, period: int) -> int:
-        return self.index[(family, entity, period)]
 
     def row(self, i: int):
         """(columns, coefficients, lower bound, upper bound) of row ``i``."""
@@ -146,11 +134,10 @@ class ModelBuilder:
         self.T = scen.horizon
         self.n_buses = len(net.buses)
 
-        self._vars: list = []
+        self.series: dict = {}
         self._lo: list = []
         self._hi: list = []
         self._binary: list = []
-        self.index: dict = {}
 
         self._row_groups: list = []
         self._row_lo: list = []
@@ -216,17 +203,19 @@ class ModelBuilder:
 
     # -- variable and row primitives -----------------------------------------
 
-    def _var(self, family, entity, t, kind, lo, hi) -> int:
-        idx = len(self._vars)
-        self._vars.append(VariableRef(idx, family, entity, t, kind))
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._binary.append(kind == "B")
-        self.index[(family, entity, t)] = idx
-        return idx
+    def _var(self, family, entity, kind, lo, hi, periods=None):
+        """Register one series of ``periods`` (default T) consecutive
+        columns, kind "C" continuous or "B" binary; ``lo`` and ``hi`` are
+        scalars or per-period lists."""
+        n = self.T if periods is None else periods
+        start = len(self._lo)
+        self._lo.extend(lo if isinstance(lo, list) else [lo] * n)
+        self._hi.extend(hi if isinstance(hi, list) else [hi] * n)
+        self._binary.extend([kind == "B"] * n)
+        self.series[(family, entity)] = range(start, start + n)
 
     def _col(self, family, entity, t) -> int:
-        return self.index[(family, entity, t)]
+        return self.series[(family, entity)][t]
 
     def _row(self, group, cols, vals, rel, rhs):
         rhs = float(rhs)
@@ -237,99 +226,77 @@ class ModelBuilder:
         self._cols.extend(cols)
         self._vals.extend(vals)
 
+    def _gate(self, group, x, z, lo, hi):
+        """lo * z <= x <= hi * z: x is zero when z is off, within
+        [lo, hi] when on."""
+        self._row(group, [x, z], [1.0, -hi], "<=", 0.0)
+        self._row(group, [x, z], [-1.0, lo], "<=", 0.0)
+
     # -- variables -----------------------------------------------------------
 
     def register_variables(self):
         net, scen, T = self.net, self.scen, self.T
-        part = self.part
+        mults = scen.demand_multiplier
 
         for b in net.buses:
-            for t in range(T):
-                self._var("w", b.id, t, "C", 0.0, b.v_max ** 2)
+            self._var("w", b.id, "C", 0.0, b.v_max ** 2)
         for d in net.ders:
-            for t in range(T):
-                self._var("pg", d.id, t, "C", min(0.0, d.p_min), max(0.0, d.p_max))
-            for t in range(T):
-                self._var("qg", d.id, t, "C", min(0.0, d.q_min), max(0.0, d.q_max))
+            self._var("pg", d.id, "C", min(0.0, d.p_min), max(0.0, d.p_max))
+            self._var("qg", d.id, "C", min(0.0, d.q_min), max(0.0, d.q_max))
         for ld in net.loads:
-            for t in range(T):
-                mult = scen.demand_multiplier[t]
-                self._var("pd", ld.id, t, "C",
-                          min(0.0, ld.p_min * mult), max(0.0, ld.p_max * mult))
-            for t in range(T):
-                mult = scen.demand_multiplier[t]
-                self._var("qd", ld.id, t, "C",
-                          min(0.0, ld.q_min * mult), max(0.0, ld.q_max * mult))
+            self._var("pd", ld.id, "C", [min(0.0, ld.p_min * m) for m in mults],
+                      [max(0.0, ld.p_max * m) for m in mults])
+            self._var("qd", ld.id, "C", [min(0.0, ld.q_min * m) for m in mults],
+                      [max(0.0, ld.q_max * m) for m in mults])
         for line in net.lines:
-            for t in range(T):
-                self._var("pflow", line.id, t, "C",
-                          min(0.0, line.p_min), max(0.0, line.p_max))
-            for t in range(T):
-                self._var("qflow", line.id, t, "C",
-                          min(0.0, line.q_min), max(0.0, line.q_max))
+            self._var("pflow", line.id, "C", min(0.0, line.p_min), max(0.0, line.p_max))
+            self._var("qflow", line.id, "C", min(0.0, line.q_min), max(0.0, line.q_max))
         for s in net.storage:
-            for t in range(T):
-                self._var("E", s.id, t, "C", 0.0, s.e_max)
-            for t in range(T):
-                self._var("pch", s.id, t, "C", 0.0, s.p_charge_max)
-            for t in range(T):
-                self._var("pdis", s.id, t, "C", 0.0, s.p_discharge_max)
+            self._var("E", s.id, "C", 0.0, s.e_max)
+            self._var("pch", s.id, "C", 0.0, s.p_charge_max)
+            self._var("pdis", s.id, "C", 0.0, s.p_discharge_max)
             for fam in ("zch", "zdis", "zs"):
-                for t in range(T):
-                    self._var(fam, s.id, t, "B", 0.0, 1.0)
+                self._var(fam, s.id, "B", 0.0, 1.0)
 
         emergency = scen.emergency if self.mode == "equitable" else frozenset()
-        for blk in part.blocks:
-            fixed = blk.index in emergency
-            for t in range(T):
-                self._var("z", f"blk{blk.index}", t, "B",
-                          1.0 if fixed else 0.0, 1.0)
+        for blk in self.part.blocks:
+            self._var("z", f"blk{blk.index}", "B",
+                      1.0 if blk.index in emergency else 0.0, 1.0)
         for line in net.lines:
-            lo = 1.0 if not line.switchable else 0.0
-            for t in range(T):
-                self._var("zsw", line.id, t, "B", lo, 1.0)
+            self._var("zsw", line.id, "B", 0.0 if line.switchable else 1.0, 1.0)
         for d in net.ders:
-            hi = 1.0 if d.can_grid_form else 0.0
-            for t in range(T):
-                self._var("zinv", d.id, t, "B", 0.0, hi)
+            self._var("zinv", d.id, "B", 0.0, 1.0 if d.can_grid_form else 0.0)
 
-        # status-change counters only exist when the cap can bind
+        # status-change counters only exist when the cap can bind; one per
+        # period 1..T-1
         self.with_dz = (
             self.mode == "equitable" and scen.m <= T - 2
         )
         if self.with_dz:
-            for blk in part.blocks:
-                if blk.index in emergency:
-                    continue
-                for t in range(1, T):
-                    self._var("dz", f"blk{blk.index}", t, "B", 0.0, 1.0)
+            for blk in self.part.blocks:
+                if blk.index not in emergency:
+                    self._var("dz", f"blk{blk.index}", "B", 0.0, 1.0,
+                              periods=T - 1)
 
         for line in net.lines:
             for tag in ("f", "r"):
-                for t in range(T):
-                    self._var("phi", f"{line.id}:{tag}", t, "B", 0.0, 1.0)
+                self._var("phi", f"{line.id}:{tag}", "B", 0.0, 1.0)
         for line in net.lines:
-            lo = 0.0 if line.switchable else 1.0
-            for t in range(T):
-                self._var("zeta", line.id, t, "B", lo, 1.0)
+            self._var("zeta", line.id, "B", 0.0 if line.switchable else 1.0, 1.0)
         for b in net.buses:
             if b.id == self.root_bus:
                 continue
             for line, tag, _, _ in self.arcs:
-                for t in range(T):
-                    self._var("fcom", f"{b.id}|{line.id}:{tag}", t, "C", 0.0, 1.0)
+                self._var("fcom", f"{b.id}|{line.id}:{tag}", "C", 0.0, 1.0)
 
         n = float(self.n_buses)
         for line_id, _, _ in self.switch_edges:
-            for t in range(T):
-                self._var("y", line_id, t, "C", 0.0, 1.0)
+            self._var("y", line_id, "C", 0.0, 1.0)
         for bus_id in self.source_buses:
-            for t in range(T):
-                self._var("src", bus_id, t, "C", 0.0, n)
+            self._var("src", bus_id, "C", 0.0, n)
         for line in net.lines:
             for tag in ("f", "r"):
-                for t in range(T):
-                    self._var("gflow", f"{line.id}:{tag}", t, "C", 0.0, n)
+                self._var("gflow", f"{line.id}:{tag}", "C", 0.0, n)
 
     # -- constraint groups ----------------------------------------------------
 
@@ -364,31 +331,25 @@ class ModelBuilder:
         for b in self.net.buses:
             zk = f"blk{self.kappa_of[b.id]}"
             for t in range(self.T):
-                w = self._col("w", b.id, t)
-                z = self._col("z", zk, t)
-                self._row("voltage_bounds", [w, z], [1.0, -b.v_max ** 2], "<=", 0.0)
-                self._row("voltage_bounds", [w, z], [-1.0, b.v_min ** 2], "<=", 0.0)
+                self._gate("voltage_bounds", self._col("w", b.id, t),
+                           self._col("z", zk, t), b.v_min ** 2, b.v_max ** 2)
         for d in self.net.ders:
             zk = f"blk{self.block_of_der[d.id]}"
             for t in range(self.T):
                 z = self._col("z", zk, t)
-                pg = self._col("pg", d.id, t)
-                qg = self._col("qg", d.id, t)
-                self._row("gen_bounds", [pg, z], [1.0, -d.p_max], "<=", 0.0)
-                self._row("gen_bounds", [pg, z], [-1.0, d.p_min], "<=", 0.0)
-                self._row("gen_bounds", [qg, z], [1.0, -d.q_max], "<=", 0.0)
-                self._row("gen_bounds", [qg, z], [-1.0, d.q_min], "<=", 0.0)
+                self._gate("gen_bounds", self._col("pg", d.id, t), z,
+                           d.p_min, d.p_max)
+                self._gate("gen_bounds", self._col("qg", d.id, t), z,
+                           d.q_min, d.q_max)
         for ld in self.net.loads:
             zk = f"blk{self.kappa_of[ld.bus]}"
             for t in range(self.T):
                 mult = self.scen.demand_multiplier[t]
                 z = self._col("z", zk, t)
-                pd = self._col("pd", ld.id, t)
-                qd = self._col("qd", ld.id, t)
-                self._row("load_bounds", [pd, z], [1.0, -ld.p_max * mult], "<=", 0.0)
-                self._row("load_bounds", [pd, z], [-1.0, ld.p_min * mult], "<=", 0.0)
-                self._row("load_bounds", [qd, z], [1.0, -ld.q_max * mult], "<=", 0.0)
-                self._row("load_bounds", [qd, z], [-1.0, ld.q_min * mult], "<=", 0.0)
+                self._gate("load_bounds", self._col("pd", ld.id, t), z,
+                           ld.p_min * mult, ld.p_max * mult)
+                self._gate("load_bounds", self._col("qd", ld.id, t), z,
+                           ld.q_min * mult, ld.q_max * mult)
         for d in self.net.ders:
             for t in range(1, self.T):
                 prev = self._col("pg", d.id, t - 1)
@@ -403,12 +364,10 @@ class ModelBuilder:
         for line in self.net.lines:
             for t in range(self.T):
                 zsw = self._col("zsw", line.id, t)
-                p = self._col("pflow", line.id, t)
-                q = self._col("qflow", line.id, t)
-                self._row("flow_gating", [p, zsw], [1.0, -line.p_max], "<=", 0.0)
-                self._row("flow_gating", [p, zsw], [-1.0, line.p_min], "<=", 0.0)
-                self._row("flow_gating", [q, zsw], [1.0, -line.q_max], "<=", 0.0)
-                self._row("flow_gating", [q, zsw], [-1.0, line.q_min], "<=", 0.0)
+                self._gate("flow_gating", self._col("pflow", line.id, t), zsw,
+                           line.p_min, line.p_max)
+                self._gate("flow_gating", self._col("qflow", line.id, t), zsw,
+                           line.q_min, line.q_max)
         for b in self.net.buses:
             for t in range(self.T):
                 pcols, pvals = [], []
@@ -711,16 +670,15 @@ class ModelBuilder:
 
         if self.with_dz:
             for k in regular:
+                dz = self.series[("dz", f"blk{k}")]  # periods 1..T-1
                 for t in range(1, T):
-                    dz = self._col("dz", f"blk{k}", t)
                     zc = self._col("z", f"blk{k}", t)
                     zp = self._col("z", f"blk{k}", t - 1)
-                    self._row("status_changes", [dz, zc, zp],
+                    self._row("status_changes", [dz[t - 1], zc, zp],
                               [1.0, -1.0, 1.0], ">=", 0.0)
-                    self._row("status_changes", [dz, zp, zc],
+                    self._row("status_changes", [dz[t - 1], zp, zc],
                               [1.0, -1.0, 1.0], ">=", 0.0)
-                cols = [self._col("dz", f"blk{k}", t) for t in range(1, T)]
-                self._row("status_changes", cols, [1.0] * len(cols), "<=", scen.m)
+                self._row("status_changes", list(dz), [1.0] * len(dz), "<=", scen.m)
 
         all_z = [(self._col("z", f"blk{k}", t), k)
                  for k in range(n_blocks) for t in range(T)]
@@ -779,7 +737,7 @@ class ModelBuilder:
         return self._finalize()
 
     def _finalize(self) -> MilpModel:
-        shape = (len(self._row_lo), len(self._vars))
+        shape = (len(self._row_lo), len(self._lo))
         rows = np.repeat(np.arange(shape[0]), self._row_len)
         # one COO->CSR pass: repeated (row, col) entries are summed, since
         # solvers reject duplicates, and zero coefficients (written ones
@@ -789,11 +747,10 @@ class ModelBuilder:
                        shape=shape).tocsr()
         a.eliminate_zeros()
         return MilpModel(
-            variables=tuple(self._vars),
+            series=dict(self.series),
             lo=np.asarray(self._lo, dtype=np.float64),
             hi=np.asarray(self._hi, dtype=np.float64),
             is_binary=np.asarray(self._binary, dtype=bool),
-            index=dict(self.index),
             row_groups=tuple(self._row_groups),
             row_lo=np.asarray(self._row_lo, dtype=np.float64),
             row_hi=np.asarray(self._row_hi, dtype=np.float64),

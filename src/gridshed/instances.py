@@ -1,18 +1,19 @@
 """Bundled and generated test systems.
 
-``thirteen_bus_case`` is a 23-bus, 6-block networked microgrid with six
-switches and six DER units (one diesel genset, two PV inverters, three
-batteries) plus the substation intertie.  Block demands are
-{2.453, 0.185, 0, 1.013, 0.025, 0.2} MW and block vulnerability indices
-{2, 9, 2, 4, 6, 3}; block 5 hosts emergency services.  Per-block wildfire
-risk drifts linearly across the horizon: blocks 0, 3, 4 start risky and
-calm down while blocks 1, 2, 5 heat up, with the system total constant in
-every period.
+``thirteen_bus_network`` and ``thirteen_bus_scenario`` give a 23-bus,
+6-block networked microgrid with six switches and six DER units (one diesel
+genset, two PV inverters, three batteries) plus the substation intertie.
+Block demands are {2.453, 0.185, 0, 1.013, 0.025, 0.2} MW and block
+vulnerability indices {2, 9, 2, 4, 6, 3}; block 5 hosts emergency
+services.  Per-block wildfire risk drifts linearly across the horizon:
+blocks 0, 3, 4 start risky and calm down while blocks 1, 2, 5 heat up,
+with the system total constant in every period.
 
-``desk_case`` generates a larger reconfigurable system (default 16 blocks,
-20 buses, 12 periods) with seeded randomness for sweep studies, and
-``small_case`` emits tiny instances whose free binary count fits the
-exhaustive-enumeration oracle.
+``desk_network`` and ``desk_scenario`` generate a larger reconfigurable
+system (default 16 blocks, 20 buses, 12 periods) with seeded randomness for
+sweep studies, ``small_network`` and ``small_scenario`` emit tiny
+instances whose free binary count fits the exhaustive-enumeration oracle,
+and ``load_case`` parses a (network, scenario) pair.
 """
 
 import math

@@ -9,6 +9,7 @@ All powers are MW/MVAr, energies MWh, voltages per-unit.
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import DimensionError, ParseError, RangeError, ValidationError
@@ -211,6 +212,19 @@ def _numeric(value, where: str) -> float:
 def _is_count(value) -> bool:
     """A JSON integer; booleans are ints to Python but not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(value, name: str, low: int = 0) -> int:
+    """A JSON integer count of at least ``low``.  Counts past the largest
+    sequence length cannot size a series and overflow every float
+    comparison and row bound they reach (10**400 does)."""
+    kind = "positive" if low else "non-negative"
+    if not _is_count(value) or value < low:
+        raise RangeError(f"{name} must be a {kind} integer")
+    if value > sys.maxsize:
+        raise RangeError(f"{name} must be a {kind} integer of at most "
+                         f"{sys.maxsize}")
+    return value
 
 
 def _text(value, where: str) -> str:
@@ -416,6 +430,22 @@ def validate_network(net: NetworkModel) -> None:
         if ld.p_min > ld.p_max or ld.q_min > ld.q_max:
             raise ValidationError(f"load {ld.id}: empty demand bounds")
 
+    # The model spans every bus with one tree that holds every fixed line:
+    # a loop of fixed lines, or a bus that no line path joins to the
+    # substation, leaves it with no schedule at all.
+    uf = UnionFind(ids)
+    for l in net.lines:
+        if not l.switchable and not uf.union(l.from_bus, l.to_bus):
+            raise ValidationError(
+                f"line {l.id}: closes a loop of non-switchable lines"
+            )
+    for l in net.lines:
+        uf.union(l.from_bus, l.to_bus)
+    root = uf.find(substations[0])
+    for b in net.buses:
+        if uf.find(b.id) != root:
+            raise ValidationError(f"bus {b.id}: no line path to the substation")
+
     # Switchable lines must join distinct blocks; loops inside one block
     # have no block-level switching semantics and are rejected outright.
     part = compute_load_blocks(net)
@@ -545,9 +575,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
         raise ParseError("scenario document must be a JSON object")
     n_blocks = partition.n_blocks
 
-    horizon = _require(data, "horizon", "scenario")
-    if not _is_count(horizon) or horizon < 1:
-        raise RangeError("horizon must be a positive integer")
+    horizon = _count(_require(data, "horizon", "scenario"), "horizon", low=1)
     period_hours = _numeric(data.get("period_hours", 1.0), "period_hours")
     if period_hours <= 0:
         raise RangeError("period_hours must be positive")
@@ -585,22 +613,15 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
     lam = _numeric(limits.get("lambda", 1.0), "lambda")
     if not 0 <= lam <= 1:
         raise RangeError(f"lambda must be in [0, 1], got {lam}")
-    window = limits.get("window", horizon)
-    if not _is_count(window) or window < 0:
-        raise RangeError("window must be a non-negative integer")
-    m = limits.get("m", horizon)
-    if not _is_count(m) or m < 0:
-        raise RangeError("m must be a non-negative integer")
+    window = _count(limits.get("window", horizon), "window")
+    m = _count(limits.get("m", horizon), "m")
     rho = _numeric(limits.get("rho", 0.0), "rho")
     if rho < 0:
         raise RangeError("rho must be non-negative")
 
     n_switches = sum(1 for _ in partition.block_graph)
-    k_bl_max = limits.get("k_bl_max", n_blocks)
-    k_sw_max = limits.get("k_sw_max", n_switches)
-    for name, val in (("k_bl_max", k_bl_max), ("k_sw_max", k_sw_max)):
-        if not _is_count(val) or val < 0:
-            raise RangeError(f"{name} must be a non-negative integer")
+    k_bl_max = _count(limits.get("k_bl_max", n_blocks), "k_bl_max")
+    k_sw_max = _count(limits.get("k_sw_max", n_switches), "k_sw_max")
 
     alpha = _as_series(limits.get("alpha", float(horizon)), n_blocks, "alpha")
     if any(a < 0 or a > horizon for a in alpha):

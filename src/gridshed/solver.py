@@ -191,10 +191,11 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
     """
     t0 = time.perf_counter()
     free_bin = model.free_binary_columns()
-    enum_cols = np.asarray(
-        [c for c in free_bin if model.variables[c].family != "phi"],
-        dtype=np.int64,
-    )
+    phi = np.zeros(model.num_vars, dtype=bool)
+    for (family, _), cols in model.series.items():
+        if family == "phi":
+            phi[cols] = True
+    enum_cols = free_bin[~phi[free_bin]]
     n_enum = len(enum_cols)
     if n_enum > binary_budget:
         raise BudgetExceeded(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridshed import instances
@@ -18,9 +19,32 @@ def desk_case():
     )
 
 
+def unschedulable_network(case: str) -> dict:
+    """``small_network(seed=1)`` plus a triangle of non-switchable lines
+    on b2 ("loop") or plus a bus with no lines ("island"); the model has
+    no schedule for either."""
+    doc = instances.small_network(seed=1)
+    if case == "loop":
+        doc["buses"] += [{"id": "x1"}, {"id": "x2"}]
+        doc["lines"] += [
+            {"id": "t1", "from": "b2", "to": "x1"},
+            {"id": "t2", "from": "x1", "to": "x2"},
+            {"id": "t3", "from": "x2", "to": "b2"},
+        ]
+    else:
+        doc["buses"].append({"id": "lonely"})
+    return doc
+
+
+def column_families(model):
+    """The family of every column, read from the model's series."""
+    families = np.empty(model.num_vars, dtype=object)
+    for (family, _), cols in model.series.items():
+        families[cols] = family
+    return families
+
+
 def free_semantic_binaries(model):
     """Free binary columns the enumeration oracle actually walks."""
-    return [
-        c for c in model.free_binary_columns()
-        if model.variables[c].family != "phi"
-    ]
+    families = column_families(model)
+    return [c for c in model.free_binary_columns() if families[c] != "phi"]

@@ -2,11 +2,24 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import gridshed
+from gridshed.checker import SERIES, Schedule, schedule_to_dict
 from gridshed.cli import main
-from gridshed.instances import small_network
+from gridshed.instances import (
+    load_case,
+    small_network,
+    thirteen_bus_network,
+    thirteen_bus_scenario,
+)
+
+from conftest import unschedulable_network
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +126,25 @@ def test_check_rejects_malformed_schedule(case_files, capsys, tmp_path, edit):
                              "--schedule", str(sched_path))
     assert code == 1
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["loop", "island"])
+def test_validate_rejects_unschedulable_network(capsys, tmp_path, case):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(unschedulable_network(case)))
+    code, out, err = run_cli(capsys, "validate", "--net", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+def test_oversized_count_is_input_error(case_files, capsys, tmp_path):
+    net, _, _ = case_files
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"horizon": 3, "risk": [[1.0] * 3] * 3,
+                                "limits": {"k_bl_max": 10**400}}))
+    code, out, err = run_cli(capsys, "solve", "--net", net, "--scen", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("error: k_bl_max must be")
 
 
 def test_validate_rejects_malformed_record(capsys, tmp_path):
@@ -261,3 +293,45 @@ def test_deeply_nested_file_is_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", "--net", str(path))
     assert code == 1
     assert out == "" and err.startswith("error: network file")
+
+
+def test_check_report_order_ignores_hash_seed(tmp_path):
+    """Every block off and every DER forming at t=0 on the 13-bus case:
+    the grid_forming records come out in network order, so the report is
+    the same under any string hash seed."""
+    net_doc, scen_doc = thirteen_bus_network(), thirteen_bus_scenario()
+    net, part, scen = load_case(net_doc, scen_doc)
+    T = scen.horizon
+    sched = Schedule(
+        horizon=T,
+        block_status=np.zeros((part.n_blocks, T), dtype=int),
+        **{name: {e.id: np.zeros(T, dtype=int if status else float)
+                  for e in getattr(net, entities)}
+           for name, _, entities, status in SERIES},
+    )
+    for series in sched.grid_forming.values():
+        series[0] = 1
+    paths = {}
+    for name, doc in (("net", net_doc), ("scen", scen_doc),
+                      ("schedule", schedule_to_dict(sched))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridshed.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridshed.cli", "check",
+             "--net", str(paths["net"]), "--scen", str(paths["scen"]),
+             "--schedule", str(paths["schedule"])],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    forming = [v["entity"] for v in json.loads(outs[0])["violations"]
+               if v["family"] == "grid_forming" and v["period"] == 0]
+    assert forming == (
+        [d.id for d in net.ders if not d.can_grid_form]
+        + [f"{d.id}:dead-block" for d in net.ders if d.can_grid_form]
+    )

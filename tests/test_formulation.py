@@ -22,7 +22,7 @@ from gridshed.instances import (
     thirteen_bus_scenario,
 )
 
-from conftest import free_semantic_binaries
+from conftest import column_families, free_semantic_binaries
 
 
 def expected_group_counts(net, part, scen, mode):
@@ -119,9 +119,7 @@ def test_binary_registry_audit(microgrid_case):
     net, part, scen = microgrid_case
     model = build_model(net, part, scen, "equitable")
     T = scen.horizon
-    free = {}
-    for c in model.free_binary_columns():
-        free[model.variables[c].family] = free.get(model.variables[c].family, 0) + 1
+    free = Counter(column_families(model)[model.free_binary_columns()])
     assert free == {
         "z": 5 * T,
         "zsw": 6 * T,
@@ -133,6 +131,23 @@ def test_binary_registry_audit(microgrid_case):
         "phi": 2 * 23 * T,
         "zeta": 6 * T,
     }
+
+
+@pytest.mark.parametrize("mode", ["original", "equitable"])
+def test_series_partition_the_columns(microgrid_case, mode):
+    """Each series is one run of consecutive columns, T long (T - 1 for
+    the change counters, which start at period 1), and the runs tile
+    every column in registration order."""
+    net, part, scen = microgrid_case
+    model = build_model(net, part, scen, mode)
+    T = scen.horizon
+    start = 0
+    for (family, _), cols in model.series.items():
+        length = T - 1 if family == "dz" else T
+        assert list(cols) == list(range(start, start + length))
+        start += length
+    assert start == model.num_vars
+    assert ("dz" in {f for f, _ in model.series}) == (mode == "equitable")
 
 
 def test_unknown_mode_rejected(microgrid_case):
@@ -153,20 +168,20 @@ def test_dead_block_gating():
     bounds = np.column_stack([model.lo.copy(), model.hi.copy()])
     dead = 1
     for t in range(scen.horizon):
-        c = model.col("z", f"blk{dead}", t)
+        c = model.series["z", f"blk{dead}"][t]
         bounds[c] = [0.0, 0.0]
     lp = solve_lp(model, bounds=bounds)
     assert lp.status == "optimal"
     dead_buses = part.blocks[dead].buses
     for t in range(scen.horizon):
         for b in dead_buses:
-            assert abs(lp.values[model.col("w", b, t)]) < 1e-7
+            assert abs(lp.values[model.series["w", b][t]]) < 1e-7
         for d in net.ders:
             if d.bus in dead_buses:
-                assert abs(lp.values[model.col("pg", d.id, t)]) < 1e-7
+                assert abs(lp.values[model.series["pg", d.id][t]]) < 1e-7
         for ld in net.loads:
             if ld.bus in dead_buses:
-                assert abs(lp.values[model.col("pd", ld.id, t)]) < 1e-7
+                assert abs(lp.values[model.series["pd", ld.id][t]]) < 1e-7
 
 
 def test_voltage_drop_arithmetic():
@@ -188,7 +203,7 @@ def test_voltage_drop_arithmetic():
     model = build_model(net, part, scen, "original")
     sol = solve_milp(model)
     assert sol.status == "optimal"
-    w2 = sol.values[model.col("w", "b2", 0)]
+    w2 = sol.values[model.series["w", "b2"][0]]
     assert w2 == pytest.approx(1.0 - 0.04, abs=1e-7)
 
 
@@ -207,8 +222,8 @@ def test_zero_impedance_line_equalizes_voltage():
     model = build_model(net, part, scen, "original")
     sol = solve_milp(model)
     assert sol.status == "optimal"
-    w1 = sol.values[model.col("w", "b1", 0)]
-    w2 = sol.values[model.col("w", "b2", 0)]
+    w1 = sol.values[model.series["w", "b1"][0]]
+    w2 = sol.values[model.series["w", "b2"][0]]
     assert w1 == pytest.approx(w2, abs=1e-7)
 
 
@@ -231,7 +246,7 @@ def test_wildfire_cap_limits_energized_blocks():
     sol = solve_milp(model)
     assert sol.status == "optimal"
     on = sum(
-        round(sol.values[model.col("z", f"blk{k}", 0)]) for k in range(4)
+        round(sol.values[model.series["z", f"blk{k}"][0]]) for k in range(4)
     )
     assert on <= 2
     # best two-block island is {0.3, 0.2} around the forming unit, because
@@ -317,9 +332,9 @@ def test_open_switch_decouples_voltages():
     model = build_model(net, part, scen, "original")
     sol = solve_milp(model)
     assert sol.status == "optimal"
-    assert round(sol.values[model.col("z", "blk0", 0)]) == 1
-    assert round(sol.values[model.col("z", "blk1", 0)]) == 0
-    assert round(sol.values[model.col("zsw", "s1", 0)]) == 0
+    assert round(sol.values[model.series["z", "blk0"][0]]) == 1
+    assert round(sol.values[model.series["z", "blk1"][0]]) == 0
+    assert round(sol.values[model.series["zsw", "s1"][0]]) == 0
 
 
 def test_objective_coefficients(microgrid_case):
@@ -331,13 +346,13 @@ def test_objective_coefficients(microgrid_case):
     model = build_model(net, part, scen, "original")
     c = model.objective_vector()
     # shedding the 185 kW block for one period costs 0.185 MW-periods
-    assert c[model.col("z", "blk1", 3)] == pytest.approx(-0.185)
+    assert c[model.series["z", "blk1"][3]] == pytest.approx(-0.185)
     # the zero-demand block never enters the objective
-    assert c[model.col("z", "blk2", 0)] == 0.0
+    assert c[model.series["z", "blk2"][0]] == 0.0
     all_on = np.zeros(model.num_vars)
     for k in range(part.n_blocks):
         for t in range(scen.horizon):
-            all_on[model.col("z", f"blk{k}", t)] = 1.0
+            all_on[model.series["z", f"blk{k}"][t]] = 1.0
     assert c @ all_on + model.objective_constant == pytest.approx(0.0, abs=1e-12)
 
 
@@ -349,7 +364,7 @@ def test_vulnerability_term_in_equitable_objective(microgrid_case):
     model = build_model(net, part, scen, "equitable")
     c = model.objective_vector()
     # block 1 demand 0.185 * multiplier 0.85, plus rho * v = 2 * 9
-    assert c[model.col("z", "blk1", 0)] == pytest.approx(-(0.185 * 0.85 + 18.0))
+    assert c[model.series["z", "blk1"][0]] == pytest.approx(-(0.185 * 0.85 + 18.0))
 
 
 @pytest.mark.parametrize("seed", [0, 2, 4, 6])
@@ -375,7 +390,7 @@ def test_stored_form_is_deterministic(microgrid_case):
                  "objective_cols", "objective_vals"):
         assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
     assert a.row_groups == b.row_groups
-    assert a.variables == b.variables
+    assert a.series == b.series
     ma, mb = a.constraint_matrix(), b.constraint_matrix()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ma, attr), getattr(mb, attr)), attr
@@ -420,12 +435,12 @@ def test_standard_form_has_no_stored_zeros(microgrid_case, mode):
     support_eq = (np.array([g == "forming_support" for g in model.row_groups])
                   & (model.row_lo == model.row_hi))
     for t in range(scen.horizon):
-        zinv = [model.col("zinv", d.id, t)
+        zinv = [model.series["zinv", d.id][t]
                 for d in net.ders if d.can_grid_form]
         (i,) = np.flatnonzero(support_eq & (a[:, zinv].getnnz(axis=1) > 0))
         cols, vals, _, _ = model.row(i)
         coef = dict(zip(cols.tolist(), vals.tolist()))
-        assert model.col("z", f"blk{root}", t) not in coef
+        assert model.series["z", f"blk{root}"][t] not in coef
         for k in range(part.n_blocks):
             if k != root:
-                assert coef[model.col("z", f"blk{k}", t)] == -1.0
+                assert coef[model.series["z", f"blk{k}"][t]] == -1.0

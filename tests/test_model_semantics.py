@@ -9,6 +9,8 @@ from gridshed import build_model, compute_load_blocks, parse_scenario, solve_lp,
 from gridshed.netmodel import Bus, Der, Line, LoadPoint, NetworkModel
 from gridshed.instances import load_case, thirteen_bus_network, thirteen_bus_scenario
 
+from conftest import column_families
+
 
 def test_minimal_instance_binary_families():
     """One bus, one period, no lines or storage: the only binary columns
@@ -20,7 +22,7 @@ def test_minimal_instance_binary_families():
         {"horizon": 1, "risk": [[1.0]]},
     )
     model = build_model(net, part, scen, "original")
-    families = {model.variables[c].family for c in np.flatnonzero(model.is_binary)}
+    families = set(column_families(model)[model.is_binary])
     assert families == {"z", "zinv"}
     sol = solve_milp(model)
     assert sol.status == "optimal"
@@ -60,13 +62,13 @@ def test_triangle_spanning_tree_excludes_the_loop():
     sol = solve_milp(model)
     assert sol.status == "optimal"
     zetas = {
-        lid: round(sol.values[model.col("zeta", lid, 0)])
+        lid: round(sol.values[model.series["zeta", lid][0]])
         for lid in ("l1", "l2", "l3")
     }
     # exactly |N| - 1 = 2 tree edges; the fixed lines are forced in, so
     # the switchable loop stays out and its switch cannot close
     assert zetas == {"l1": 1, "l2": 1, "l3": 0}
-    assert round(sol.values[model.col("zsw", "l3", 0)]) == 0
+    assert round(sol.values[model.series["zsw", "l3"][0]]) == 0
 
 
 def test_star_commodity_flow_uses_single_arc():
@@ -89,7 +91,7 @@ def test_star_commodity_flow_uses_single_arc():
     sol = solve_milp(model)
     assert sol.status == "optimal"
     flow = {
-        (k, lid, tag): sol.values[model.col("fcom", f"{k}|{lid}:{tag}", 0)]
+        (k, lid, tag): sol.values[model.series["fcom", f"{k}|{lid}:{tag}"][0]]
         for k in ("x", "y", "z")
         for lid in ("lx", "ly", "lz")
         for tag in ("f", "r")
@@ -112,8 +114,8 @@ def test_storage_cannot_charge_and_discharge_at_once():
     net, part, scen = load_case(doc, {"horizon": 1, "risk": [[1.0]]})
     model = build_model(net, part, scen, "original")
     bounds = np.column_stack([model.lo.copy(), model.hi.copy()])
-    bounds[model.col("zch", "bat", 0)] = [1.0, 1.0]
-    bounds[model.col("zdis", "bat", 0)] = [1.0, 1.0]
+    bounds[model.series["zch", "bat"][0]] = [1.0, 1.0]
+    bounds[model.series["zdis", "bat"][0]] = [1.0, 1.0]
     assert solve_lp(model, bounds=bounds).status == "infeasible"
 
 
@@ -127,7 +129,7 @@ def test_zero_block_budget_keeps_everything_on(microgrid_case):
     assert sol.status == "optimal"
     for k in range(part.n_blocks):
         for t in range(scen.horizon):
-            assert round(sol.values[model.col("z", f"blk{k}", t)]) == 1
+            assert round(sol.values[model.series["z", f"blk{k}"][t]]) == 1
 
 
 def test_change_counters_dominate_recomputed_changes(microgrid_case):
@@ -140,12 +142,10 @@ def test_change_counters_dominate_recomputed_changes(microgrid_case):
     for k in range(part.n_blocks):
         if k in scen.emergency:
             continue
-        z = [round(sol.values[model.col("z", f"blk{k}", t)])
+        z = [round(sol.values[model.series["z", f"blk{k}"][t]])
              for t in range(scen.horizon)]
-        dz_total = sum(
-            sol.values[model.col("dz", f"blk{k}", t)]
-            for t in range(1, scen.horizon)
-        )
+        # one change counter per period 1..T-1
+        dz_total = sol.values[model.series["dz", f"blk{k}"]].sum()
         recomputed = sum(abs(a - b) for a, b in zip(z, z[1:]))
         assert recomputed <= dz_total + 1e-6
         assert dz_total <= scen.m + 1e-6

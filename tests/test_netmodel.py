@@ -26,6 +26,8 @@ from gridshed.instances import (
 )
 from gridshed.netmodel import NETWORK_RECORDS
 
+from conftest import unschedulable_network
+
 BUNDLED_NETWORKS = {
     "13bus": thirteen_bus_network,
     "desk0": lambda: desk_network(seed=0),
@@ -104,6 +106,14 @@ class TestLoadNetwork:
         }
         with pytest.raises(ValidationError, match="intra-block"):
             parse_network(doc)
+
+    @pytest.mark.parametrize("case, message", [
+        ("loop", "line t3: closes a loop of non-switchable lines"),
+        ("island", "bus lonely: no line path to the substation"),
+    ])
+    def test_unschedulable_network_rejected(self, case, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_network(unschedulable_network(case))
 
     def test_non_dispatchable_needs_pinned_bounds(self):
         doc = minimal_network(
@@ -392,6 +402,25 @@ class TestScenario:
         else:
             doc["limits"][field] = value
         with pytest.raises(RangeError):
+            parse_scenario(doc, part)
+
+    # json.load reads 10**400 as an int no float or sequence length holds;
+    # 2**64 fits a float but not a sequence length
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("horizon", 10**400, id="horizon-1e400"),
+        pytest.param("horizon", 2**64, id="horizon-2**64"),
+        pytest.param("window", 10**400, id="window-1e400"),
+        pytest.param("m", 10**400, id="m-1e400"),
+        pytest.param("k_bl_max", 10**400, id="k_bl_max-1e400"),
+        pytest.param("k_sw_max", 10**400, id="k_sw_max-1e400"),
+    ])
+    def test_oversized_counts_rejected(self, part, field, value):
+        doc = {"horizon": 2, "risk": [[1.0] * 2] * 6, "limits": {}}
+        if field == "horizon":
+            doc[field] = value
+        else:
+            doc["limits"][field] = value
+        with pytest.raises(RangeError, match=f"{field} must be"):
             parse_scenario(doc, part)
 
     @pytest.mark.parametrize("doc", [

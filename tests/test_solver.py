@@ -11,7 +11,7 @@ from gridshed import (
     solve_lp,
     solve_milp,
 )
-from gridshed.formulation import MilpModel, VariableRef
+from gridshed.formulation import MilpModel
 from gridshed.instances import load_case, small_network, small_scenario
 
 from conftest import free_semantic_binaries
@@ -20,10 +20,6 @@ from conftest import free_semantic_binaries
 def make_model(c, bounds, rows, binary=(), constant=0.0):
     """Assemble a raw standard-form model for solver unit tests."""
     n = len(c)
-    variables = tuple(
-        VariableRef(i, "x", str(i), 0, "B" if i in binary else "C")
-        for i in range(n)
-    )
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(cols) for cols, _, _, _ in rows], out=indptr[1:])
     cols = (np.concatenate([np.asarray(r[0], dtype=np.int64) for r in rows])
@@ -33,11 +29,10 @@ def make_model(c, bounds, rows, binary=(), constant=0.0):
     cvec = np.asarray(c, dtype=float)
     nz = np.flatnonzero(cvec)
     return MilpModel(
-        variables=variables,
+        series={("x", str(i)): range(i, i + 1) for i in range(n)},
         lo=np.asarray([b[0] for b in bounds], dtype=float),
         hi=np.asarray([b[1] for b in bounds], dtype=float),
         is_binary=np.asarray([i in binary for i in range(n)]),
-        index={("x", str(i), 0): i for i in range(n)},
         row_groups=tuple(f"g{i}" for i in range(len(rows))),
         row_lo=np.asarray([-math.inf if rel == "<=" else rhs
                            for _, _, rel, rhs in rows], dtype=float),
