@@ -10,7 +10,6 @@ systems and ``cli`` the command-line entry point.
 from .analysis import (
     EquityMetrics,
     SweepResult,
-    beta_from_vulnerability,
     compute_metrics,
     emit_report,
     extract_schedule,
@@ -53,7 +52,6 @@ from .netmodel import (
     compute_load_blocks,
     load_network,
     load_scenario,
-    network_to_dict,
     parse_network,
     parse_scenario,
 )

@@ -20,7 +20,8 @@ import numpy as np
 from . import checker as chk
 from .errors import DomainError, GridshedError, InfeasibleError, SolverLimitError
 from .formulation import MilpModel, build_model
-from .netmodel import BlockPartition, NetworkModel, Scenario, compute_load_blocks
+from .netmodel import (BlockPartition, NetworkModel, Scenario,
+                       compute_load_blocks, uniform_beta)
 from .solver import INTEGRALITY_TOL, MilpSolution, SolverOptions, solve_lp, solve_milp
 
 
@@ -262,13 +263,6 @@ def sweep_epsilon(net: NetworkModel, scen: Scenario, values,
                   list(values), mode, opts, "epsilon", workers)
 
 
-def uniform_beta_matrix(n_blocks: int, value: float) -> tuple:
-    return tuple(
-        tuple(value if k != v else math.inf for v in range(n_blocks))
-        for k in range(n_blocks)
-    )
-
-
 def sweep_beta(net: NetworkModel, scen: Scenario, values,
                mode: str = "equitable", opts: SolverOptions | None = None,
                workers: int = 1) -> SweepResult:
@@ -279,28 +273,9 @@ def sweep_beta(net: NetworkModel, scen: Scenario, values,
     part = compute_load_blocks(net)
 
     def with_beta(v):
-        return replace(scen, beta=uniform_beta_matrix(part.n_blocks, float(v)))
+        return replace(scen, beta=uniform_beta(part.n_blocks, float(v)))
 
     return _sweep(net, with_beta, list(values), mode, opts, "beta", workers)
-
-
-def beta_from_vulnerability(vulnerability, scale: float = 1.0) -> tuple:
-    """Pairwise ratio caps proportional to inverse vulnerability.
-
-    beta[k][v] = scale * v_v / v_k: the more vulnerable block k is
-    relative to v, the fewer sheds it may take per shed of v.
-    """
-    v = [float(x) for x in vulnerability]
-    if any(x <= 0 for x in v):
-        raise DomainError("vulnerability values must be strictly positive")
-    n = len(v)
-    return tuple(
-        tuple(
-            math.inf if k == u or math.isinf(scale) else scale * v[u] / v[k]
-            for u in range(n)
-        )
-        for k in range(n)
-    )
 
 
 def emit_report(sched: chk.Schedule, metrics: EquityMetrics, fmt: str,

@@ -200,6 +200,11 @@ def validate_schedule_dims(net: NetworkModel, part: BlockPartition,
         missing = set(ids) - set(mapping)
         if missing:
             raise DimensionError(f"{name}: missing series for {sorted(missing)}")
+        unknown = set(mapping) - set(ids)
+        if unknown:
+            raise DimensionError(
+                f"{name}: series for unknown ids {sorted(unknown)}"
+            )
         try:
             for key in ids:
                 if len(mapping[key]) != T:
@@ -250,6 +255,7 @@ def verify_schedule(net: NetworkModel, part: BlockPartition, scen: Scenario,
     check_wildfire(out, scen, z)
     check_block_budget(out, scen, z)
     check_switch_budget(out, part, scen, sched.switch_status)
+    check_fixed_lines(out, net, sched)
     check_alignment(out, part, sched, z)
     check_islands(out, net, part, sched, z)
     check_gating(out, net, part, scen, sched, z)
@@ -295,7 +301,7 @@ def equity_violations(scen: Scenario, block_status: np.ndarray) -> list:
         for v in regular:
             if k == v:
                 continue
-            beta = scen.beta_at(k, v)
+            beta = scen.beta[k][v]
             if math.isfinite(beta):
                 out.breach("pair_ratio", f"blk{k}/blk{v}", None,
                            int(sheds[k]), beta * int(sheds[v]), LOGIC_TOL)
@@ -325,6 +331,17 @@ def check_switch_budget(out, part: BlockPartition, scen: Scenario,
                    LOGIC_TOL)
 
 
+def check_fixed_lines(out, net: NetworkModel, sched: Schedule) -> None:
+    """A line that is not switchable is closed in every period."""
+    for line in net.lines:
+        if line.switchable:
+            continue
+        series = sched.switch_status[line.id]
+        for t in range(sched.horizon):
+            if series[t] == 0:
+                out.residual("fixed_line", line.id, t, 1.0, LOGIC_TOL)
+
+
 def check_alignment(out, part: BlockPartition, sched: Schedule,
                     z: np.ndarray) -> None:
     for lid, ki, kj in part.block_graph:
@@ -340,13 +357,12 @@ def check_islands(out, net: NetworkModel, part: BlockPartition,
                   sched: Schedule, z: np.ndarray) -> None:
     """Energized components must be trees holding exactly one forming
     reference, or touch the substation."""
-    can_form = {d.id for d in net.ders if d.can_grid_form}
     for t in range(sched.horizon):
         forming = sched.forming_units(t)
-        # schedule order, so ids the network does not know are flagged too
-        for did, series in sched.grid_forming.items():
-            if series[t] == 1 and did not in can_form:
-                out.residual("grid_forming", did, t, 1.0, LOGIC_TOL)
+        # two passes: units that cannot form are reported before dead blocks
+        for d in net.ders:
+            if d.id in forming and not d.can_grid_form:
+                out.residual("grid_forming", d.id, t, 1.0, LOGIC_TOL)
         for d in net.ders:
             if (d.id in forming and d.can_grid_form
                     and z[part.block_of(d.bus), t] == 0):

@@ -29,14 +29,6 @@ EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 
 
-def _workers() -> int:
-    raw = os.environ.get("GRIDSHED_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _solver_options(args) -> SolverOptions:
     if not 0 < args.gap < 1:
         raise GridshedError(f"gap must be in (0, 1), got {args.gap}")
@@ -117,13 +109,16 @@ def cmd_sweep(args) -> int:
     net, part, scen = _load_inputs(args)
     values = _parse_values(args.values)
     opts = _solver_options(args)
+    # one worker per CPU this process may run on; taskset and cpusets narrow it
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     if args.param == "epsilon":
         result = analysis.sweep_epsilon(
-            net, scen, values, mode=args.mode, opts=opts, workers=_workers()
+            net, scen, values, mode=args.mode, opts=opts, workers=workers
         )
     elif args.param == "beta":
         result = analysis.sweep_beta(
-            net, scen, values, mode=args.mode, opts=opts, workers=_workers()
+            net, scen, values, mode=args.mode, opts=opts, workers=workers
         )
     else:
         raise GridshedError(f"unknown sweep parameter {args.param!r}")

@@ -33,36 +33,6 @@ from .netmodel import BlockPartition, NetworkModel, Scenario
 
 MODES = ("original", "equitable")
 
-# Row groups a fully-built model may contain, in emission order.
-ROW_GROUPS = (
-    "power_flow",
-    "voltage_bounds",
-    "gen_bounds",
-    "load_bounds",
-    "ramping",
-    "flow_gating",
-    "nodal_balance",
-    "storage_energy",
-    "storage_status",
-    "wildfire_cap",
-    "block_budget",
-    "switch_budget",
-    "alignment",
-    "tree_cardinality",
-    "tree_membership",
-    "tree_switch_link",
-    "commodity_balance",
-    "commodity_capacity",
-    "forming_bounds",
-    "forming_output",
-    "forming_support",
-    "alpha_cap",
-    "shed_window",
-    "status_changes",
-    "share_cap",
-    "pair_ratio",
-)
-
 
 class MilpModel:
     """Immutable standard-form model: min c'x s.t. rows, bounds, integrality.
@@ -193,9 +163,6 @@ class ModelBuilder:
         source = {self.root_bus}
         source.update(d.bus for d in self.gf_ders)
         self.source_buses = sorted(source)
-
-        self.block_of_der = {d.id: self.kappa_of[d.bus] for d in net.ders}
-        self.block_of_storage = {s.id: self.kappa_of[s.bus] for s in net.storage}
 
         # de-energized buses sit at w = 0, so the voltage gap across an
         # open line can reach the full upper bound, not vmax^2 - vmin^2
@@ -334,7 +301,7 @@ class ModelBuilder:
                 self._gate("voltage_bounds", self._col("w", b.id, t),
                            self._col("z", zk, t), b.v_min ** 2, b.v_max ** 2)
         for d in self.net.ders:
-            zk = f"blk{self.block_of_der[d.id]}"
+            zk = f"blk{self.kappa_of[d.bus]}"
             for t in range(self.T):
                 z = self._col("z", zk, t)
                 self._gate("gen_bounds", self._col("pg", d.id, t), z,
@@ -398,7 +365,7 @@ class ModelBuilder:
         caps; a unit in a de-energized block cannot cycle."""
         dh = self.scen.period_hours
         for s in self.net.storage:
-            zk = f"blk{self.block_of_storage[s.id]}"
+            zk = f"blk{self.kappa_of[s.bus]}"
             for t in range(self.T):
                 e = self._col("E", s.id, t)
                 pch = self._col("pch", s.id, t)
@@ -549,7 +516,7 @@ class ModelBuilder:
                     self._row("forming_bounds", cols, [1.0] * len(cols), "<=", 1.0)
 
         for d in self.net.ders:
-            k = self.block_of_der[d.id]
+            k = self.kappa_of[d.bus]
             sw = self.switches_of_block[k]
             formers = self.formers_of_block[k]
             for t in range(T):
@@ -572,7 +539,7 @@ class ModelBuilder:
                                   [-1.0] + [lo_b] * len(sup_cols), "<=", 0.0)
 
         for d in self.gf_ders:
-            zk = f"blk{self.block_of_der[d.id]}"
+            zk = f"blk{self.kappa_of[d.bus]}"
             for t in range(T):
                 self._row("forming_support",
                           [self._col("zinv", d.id, t), self._col("z", zk, t)],
@@ -695,7 +662,7 @@ class ModelBuilder:
             for v in regular:
                 if k == v:
                     continue
-                beta = scen.beta_at(k, v)
+                beta = scen.beta[k][v]
                 if not math.isfinite(beta):
                     continue
                 cols = [self._col("z", f"blk{k}", t) for t in range(T)]

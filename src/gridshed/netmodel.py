@@ -158,9 +158,6 @@ class Scenario:
     rho: float
     emergency: frozenset = field(default_factory=frozenset)
 
-    def beta_at(self, kappa: int, nu: int) -> float:
-        return self.beta[kappa][nu]
-
 
 class UnionFind:
     """Disjoint sets over hashable keys with path compression."""
@@ -538,6 +535,15 @@ def _as_series(value, length: int, name: str) -> tuple:
     raise ParseError(f"{name}: expected number or array")
 
 
+def uniform_beta(n_blocks: int, value: float) -> tuple:
+    """The beta matrix with every pair of distinct blocks capped at
+    ``value``; a block is never capped against itself."""
+    return tuple(
+        tuple(value if k != v else INF for v in range(n_blocks))
+        for k in range(n_blocks)
+    )
+
+
 def _beta_matrix(raw, n_blocks: int) -> tuple:
     """Normalize the beta limit to a full matrix; null/'inf' disable."""
 
@@ -546,16 +552,10 @@ def _beta_matrix(raw, n_blocks: int) -> tuple:
             return INF
         return _numeric(v, where)
 
-    if raw is None:
-        return tuple((INF,) * n_blocks for _ in range(n_blocks))
+    if raw is None or raw == "inf":
+        return uniform_beta(n_blocks, INF)
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        scalar = _numeric(raw, "beta")
-        return tuple(
-            tuple(scalar if k != v else INF for v in range(n_blocks))
-            for k in range(n_blocks)
-        )
-    if raw == "inf":
-        return tuple((INF,) * n_blocks for _ in range(n_blocks))
+        return uniform_beta(n_blocks, _numeric(raw, "beta"))
     if isinstance(raw, list):
         if len(raw) != n_blocks or any(
             not isinstance(row, list) or len(row) != n_blocks for row in raw
@@ -666,19 +666,3 @@ def load_scenario(path, partition: BlockPartition) -> Scenario:
     """Parse and validate a scenario JSON file against a partition."""
     return parse_scenario(read_json(path, "scenario"), partition)
 
-
-def network_to_dict(net: NetworkModel) -> dict:
-    """Serialize a NetworkModel to the JSON schema accepted by parse_network."""
-    return {
-        name: [
-            {key: _to_json(read, getattr(obj, attr))
-             for key, attr, read, _, _ in entries}
-            for obj in getattr(net, name)
-        ]
-        for name, (_, _, entries) in _COMPILED.items()
-    }
-
-
-def _to_json(read, value):
-    """Invert a reader: an unlimited ramp is written back as null."""
-    return None if read is _unlimited and value == INF else value

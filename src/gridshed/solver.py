@@ -24,7 +24,6 @@ decision variables that actually matter.
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +113,6 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
     HiGHS proved so.
     """
     opts = opts or SolverOptions()
-    t0 = time.perf_counter()
     options = {"mip_rel_gap": opts.gap_target, "presolve": True}
     if opts.time_limit is not None:
         options["time_limit"] = float(opts.time_limit)
@@ -122,8 +120,7 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
         options["node_limit"] = int(opts.node_limit)
     status, res = _highs(model, model.is_binary.astype(np.int64),
                          Bounds(model.lo, model.hi), options)
-    stats = {"nodes": _nodes(res),
-             "wall_ms": (time.perf_counter() - t0) * 1e3}
+    stats = {"nodes": _nodes(res)}
 
     if status is not None:
         return MilpSolution(status, None, None, 0.0, None, stats)
@@ -189,7 +186,6 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
     survivors are visited in ascending objective order and the first
     LP-feasible one is returned; otherwise every survivor is priced.
     """
-    t0 = time.perf_counter()
     free_bin = model.free_binary_columns()
     phi = np.zeros(model.num_vars, dtype=bool)
     for (family, _), cols in model.series.items():
@@ -236,9 +232,8 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
         if ok.any():
             surv_idx.append(ids[ok])
             surv_obj.append(bits[ok] @ c_enum + fixed_const)
-    stats = {"nodes": int(total), "lp_solves": 0, "wall_ms": 0.0}
+    stats = {"nodes": int(total), "lp_solves": 0}
     if not surv_idx:
-        stats["wall_ms"] = (time.perf_counter() - t0) * 1e3
         return MilpSolution("infeasible", None, None, 0.0, None, stats)
 
     surv_idx = np.concatenate(surv_idx)
@@ -264,7 +259,6 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
         if objective_is_binary:
             break
 
-    stats["wall_ms"] = (time.perf_counter() - t0) * 1e3
     if best_x is None:
         return MilpSolution("infeasible", None, None, 0.0, None, stats)
     return MilpSolution("optimal", best_obj, best_obj, 0.0, best_x, stats)

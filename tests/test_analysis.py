@@ -10,15 +10,15 @@ from gridshed import (
     DomainError,
     InfeasibleError,
     Schedule,
-    beta_from_vulnerability,
     compute_metrics,
     emit_report,
     run_horizon,
     sweep_beta,
     sweep_epsilon,
 )
-from gridshed.analysis import metrics_dict, schedule_objective, uniform_beta_matrix
+from gridshed.analysis import metrics_dict, schedule_objective
 from gridshed.instances import load_case, small_network, small_scenario
+from gridshed.netmodel import uniform_beta
 
 
 @pytest.fixture(scope="module")
@@ -62,27 +62,6 @@ class TestMetrics:
             if sched.block_status[k, t] == 0
         )
         assert metrics.total_shed_energy == pytest.approx(expected)
-
-
-class TestBetaFromVulnerability:
-    def test_inverse_vulnerability_rule(self):
-        beta = beta_from_vulnerability([2.0, 9.0, 2.0, 4.0, 6.0, 3.0])
-        # the most vulnerable block gets the tightest shed allowance
-        assert beta[1][0] == pytest.approx(2.0 / 9.0)
-        assert beta[0][1] == pytest.approx(9.0 / 2.0)
-
-    def test_uniform_vulnerability_gives_uniform_caps(self):
-        beta = beta_from_vulnerability([3.0, 3.0, 3.0], scale=2.5)
-        off_diag = [beta[k][v] for k in range(3) for v in range(3) if k != v]
-        assert all(b == pytest.approx(2.5) for b in off_diag)
-
-    def test_infinite_scale_disables(self):
-        beta = beta_from_vulnerability([1.0, 2.0], scale=math.inf)
-        assert all(math.isinf(b) for row in beta for b in row)
-
-    def test_nonpositive_vulnerability_rejected(self):
-        with pytest.raises(DomainError):
-            beta_from_vulnerability([1.0, 0.0])
 
 
 class TestRunHorizon:
@@ -236,6 +215,6 @@ def test_mode_equivalence_objidentity(small_solved):
 
 
 def test_uniform_beta_matrix_shape():
-    m = uniform_beta_matrix(3, 4.0)
+    m = uniform_beta(3, 4.0)
     assert m[0][1] == 4.0
     assert math.isinf(m[1][1])

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -28,7 +29,6 @@ from gridshed.checker import (
     equity_violations,
     validate_schedule_dims,
 )
-from gridshed.formulation import ROW_GROUPS
 from gridshed.instances import (
     desk_network,
     desk_scenario,
@@ -291,6 +291,31 @@ class TestVerifySchedule:
         with pytest.raises(DimensionError):
             verify_schedule(net, part, scen, truncated, "equitable")
 
+    @pytest.mark.parametrize("name, ghost", [
+        ("pg", np.full(8, 1e9)),
+        ("flow_p", np.zeros(1)),
+        ("grid_forming", np.ones(8, dtype=int)),
+    ], ids=["pg", "flow_p", "grid_forming"])
+    def test_series_for_unknown_ids_raise(self, solved, name, ghost):
+        net, part, scen, sched = solved
+        series = dict(getattr(sched, name), ghost=ghost)
+        bad = dataclasses.replace(sched, **{name: series})
+        with pytest.raises(DimensionError, match=rf"{name}: .*'ghost'"):
+            verify_schedule(net, part, scen, bad, "equitable")
+
+    def test_opening_a_fixed_line_is_flagged(self, solved):
+        net, part, scen, sched = solved
+        assert not next(l for l in net.lines if l.id == "l05").switchable
+        # l05 carries no flow at t=0, so only its status is wrong
+        assert sched.flow_p["l05"][0] == sched.flow_q["l05"][0] == 0.0
+        switch = dict(sched.switch_status, l05=sched.switch_status["l05"].copy())
+        switch["l05"][0] = 0
+        bad = dataclasses.replace(sched, switch_status=switch)
+        report = verify_schedule(net, part, scen, bad, "equitable")
+        assert [(v.family, v.entity, v.period) for v in report.violations] == [
+            ("fixed_line", "l05", 0)
+        ]
+
     def test_schedule_roundtrip(self, solved):
         net, part, scen, sched = solved
         again = schedule_from_dict(schedule_to_dict(sched))
@@ -420,9 +445,18 @@ CHECK_FAMILY_OF_GROUP = {
 
 
 def test_every_row_group_has_a_check_family():
-    assert set(CHECK_FAMILY_OF_GROUP) == set(ROW_GROUPS)
+    # a 13-bus scenario on which the two modes together emit every group
+    scen_doc = thirteen_bus_scenario(psi=0.5)
+    scen_doc["limits"].update({"lambda": 0.5, "window": 2, "beta": 3.0})
+    net, part, scen = load_case(thirteen_bus_network(), scen_doc)
+    emitted = {
+        group
+        for mode in ("original", "equitable")
+        for group in build_model(net, part, scen, mode).row_groups
+    }
+    assert emitted == set(CHECK_FAMILY_OF_GROUP)
     # radiality rows all map onto the graph-theoretic check
-    tree_groups = {g for g in ROW_GROUPS if g.startswith(("tree_", "commodity_"))}
+    tree_groups = {g for g in emitted if g.startswith(("tree_", "commodity_"))}
     assert {CHECK_FAMILY_OF_GROUP[g] for g in tree_groups} == {"radiality"}
 
 
@@ -430,6 +464,13 @@ def test_checker_never_imports_the_formulation():
     import gridshed.checker as checker_module
 
     with open(checker_module.__file__, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    assert "formulation" not in source
-    assert "MilpModel" not in source
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    modules = {part for name in imported for part in name.split(".")}
+    assert not modules & {"formulation", "solver"}, sorted(imported)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -111,7 +112,11 @@ def nan_flows_and_output(doc):
     lambda doc: doc["dispatch"].update(pg=[1, 2]),
     lambda doc: doc["switch_status"].update(
         {k: [[0, 1]] * 3 for k in doc["switch_status"]}),
-], ids=["nan-dispatch", "pg-list", "nested-status"])
+    lambda doc: doc["dispatch"]["pg"].update(ghost=[1e9] * doc["horizon"]),
+    lambda doc: doc["dispatch"]["flow_p"].update(ghost2=[0.0]),
+    lambda doc: doc["grid_forming"].update(ghost=[1] * doc["horizon"]),
+], ids=["nan-dispatch", "pg-list", "nested-status", "ghost-pg", "ghost-flow",
+        "ghost-forming"])
 def test_check_rejects_malformed_schedule(case_files, capsys, tmp_path, edit):
     net, scen, _ = case_files
     sched_path = tmp_path / "sched.json"
@@ -126,6 +131,28 @@ def test_check_rejects_malformed_schedule(case_files, capsys, tmp_path, edit):
                              "--schedule", str(sched_path))
     assert code == 1
     assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_check_flags_an_opened_fixed_line(capsys, tmp_path):
+    net_doc, scen_doc = thirteen_bus_network(), thirteen_bus_scenario()
+    net, _, scen = load_case(net_doc, scen_doc)
+    doc = schedule_to_dict(gridshed.run_horizon(net, scen)[0])
+    # l05 is not switchable and carries no flow at t=0
+    assert doc["dispatch"]["flow_p"]["l05"][0] == 0.0
+    assert doc["dispatch"]["flow_q"]["l05"][0] == 0.0
+    doc["switch_status"]["l05"][0] = 0
+    paths = {}
+    for name, content in (("net", net_doc), ("scen", scen_doc),
+                          ("schedule", doc)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    code, out, _ = run_cli(capsys, "check", "--net", str(paths["net"]),
+                           "--scen", str(paths["scen"]),
+                           "--schedule", str(paths["schedule"]))
+    assert code == 2
+    assert [(v["family"], v["entity"], v["period"])
+            for v in json.loads(out)["violations"]] == [("fixed_line", "l05", 0)]
 
 
 @pytest.mark.parametrize("case", ["loop", "island"])
@@ -239,9 +266,8 @@ def test_bad_gap_rejected(case_files, capsys):
     assert "gap" in err
 
 
-def test_workers_env_preserves_point_order(case_files, capsys, monkeypatch):
+def test_sweep_preserves_point_order(case_files, capsys):
     net, scen, _ = case_files
-    monkeypatch.setenv("GRIDSHED_WORKERS", "2")
     code, out, _ = run_cli(
         capsys, "sweep", "--net", net, "--scen", scen,
         "--param", "epsilon", "--values", "0.7,0.9,1.0",
@@ -251,14 +277,19 @@ def test_workers_env_preserves_point_order(case_files, capsys, monkeypatch):
     assert [r[1] for r in rows[1:]] == ["0.7", "0.9", "1"]
 
 
-def test_workers_env_garbage_falls_back(case_files, capsys, monkeypatch):
-    net, scen, _ = case_files
-    monkeypatch.setenv("GRIDSHED_WORKERS", "many")
-    code, _, _ = run_cli(
-        capsys, "sweep", "--net", net, "--scen", scen,
-        "--param", "epsilon", "--values", "1.0",
-    )
-    assert code == 0
+def test_package_reads_no_environment():
+    package = os.path.dirname(os.path.abspath(gridshed.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("environ", "getenv"), name
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+                assert not names & {"environ", "getenv"}, name
 
 
 HUGE = "1" * 5000  # json.load raises a plain ValueError past 4300 digits

@@ -85,7 +85,7 @@ def expected_group_counts(net, part, scen, mode):
         counts["pair_ratio"] = sum(
             1
             for k in regular for v in regular
-            if k != v and math.isfinite(scen.beta_at(k, v))
+            if k != v and math.isfinite(scen.beta[k][v])
         )
     return {k: v for k, v in counts.items() if v}
 
