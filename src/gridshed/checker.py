@@ -6,6 +6,12 @@ an implementation that cannot share its bugs.  Violations are data, not
 exceptions: the report carries one record per violated (family, entity,
 period) with the offending left/right-hand sides.
 
+Each family is a few array operations over (entity × period) matrices.
+Each check stacks the schedule's series once and builds the network's
+incidence, block-index and bound arrays from ``netmodel`` objects alone.
+Records are made only where a family's mask is true, ordered by entity,
+then period, then sub-check.
+
 Tolerances: 1e-6 absolute for power/energy residuals and envelope checks,
 exact integer arithmetic for everything that counts shed periods or
 status changes (statuses are rounded and validated first).
@@ -13,11 +19,18 @@ status changes (statuses are rounded and validated first).
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .netmodel import BlockPartition, NetworkModel, Scenario, UnionFind
+from .netmodel import (
+    BlockPartition,
+    NetworkModel,
+    Scenario,
+    compute_load_blocks,
+)
 
 RESIDUAL_TOL = 1e-6
 LOGIC_TOL = 1e-9
@@ -51,12 +64,6 @@ class Schedule:
         if self.horizon < 2:
             return np.zeros(self.block_status.shape[0], dtype=int)
         return np.abs(np.diff(self.block_status, axis=1)).sum(axis=1)
-
-    def closed_lines(self, t: int) -> set:
-        return {lid for lid, series in self.switch_status.items() if series[t] == 1}
-
-    def forming_units(self, t: int) -> set:
-        return {did for did, series in self.grid_forming.items() if series[t] == 1}
 
 
 # Every per-entity series of a Schedule, in field and document order:
@@ -142,6 +149,136 @@ class RadialityResult:
     islands: tuple
 
 
+# The gated dispatch families: (family, series, network collection).
+_GATED = (
+    ("voltage_gating", ("voltage_sq",), "buses"),
+    ("gen_gating", ("pg", "qg"), "ders"),
+    ("load_gating", ("pd", "qd"), "loads"),
+)
+
+
+class _NetworkArrays:
+    """Index, incidence and bound arrays of one network and its partition,
+    derived from ``netmodel`` objects alone.  Bounds are (entities, 1)
+    columns, so they broadcast against (entities, periods) series."""
+
+    def __init__(self, net: NetworkModel, part: BlockPartition):
+        self.part = part
+        self.ids = {name: tuple(e.id for e in getattr(net, name))
+                    for name in ("buses", "lines", "ders", "loads", "storage")}
+        self.known = {name: frozenset(ids) for name, ids in self.ids.items()}
+        bus_ids = self.ids["buses"]
+        n_bus = len(bus_ids)
+        bus_at = {key: i for i, key in enumerate(bus_ids)}
+        line_at = {key: i for i, key in enumerate(self.ids["lines"])}
+
+        def index(keys, lookup):
+            return np.array([lookup[k] for k in keys], dtype=int)
+
+        def table(items, *fields):
+            """One (entities, 1) column per numeric field."""
+            rows = np.array(list(map(attrgetter(*fields), items)), dtype=float)
+            rows = rows.reshape(len(items), len(fields))
+            return tuple(rows[:, i:i + 1] for i in range(len(fields)))
+
+        lines, ders, store = net.lines, net.ders, net.storage
+        self.line_from = index((l.from_bus for l in lines), bus_at)
+        self.line_to = index((l.to_bus for l in lines), bus_at)
+        # -1 where a line leaves a bus, +1 where it arrives
+        self.line_inc = np.zeros((n_bus, len(lines)))
+        np.add.at(self.line_inc, (self.line_from, np.arange(len(lines))), -1.0)
+        np.add.at(self.line_inc, (self.line_to, np.arange(len(lines))), 1.0)
+        self.block = {"buses": index(bus_ids, part.block_of_bus)}
+        self.inc = {}
+        for name in ("ders", "loads", "storage"):
+            bus = index((e.bus for e in getattr(net, name)), bus_at)
+            self.block[name] = self.block["buses"][bus]
+            self.inc[name] = np.zeros((n_bus, bus.size))
+            self.inc[name][bus, np.arange(bus.size)] = 1.0
+
+        self.fixed = np.array([not l.switchable for l in lines], dtype=bool)
+        self.switches = index((lid for lid, _, _ in part.block_graph), line_at)
+        tie = [(lid, ki, kj) for lid, ki, kj in part.block_graph if ki != kj]
+        self.tie_ids = tuple(lid for lid, _, _ in tie)
+        self.tie_rows = index(self.tie_ids, line_at)
+        self.tie_ends = np.array([(ki, kj) for _, ki, kj in tie],
+                                 dtype=int).reshape(-1, 2).T
+
+        # (lo, hi) bound columns of every gated series
+        line_cols = table(lines, "resistance", "reactance",
+                          "p_min", "p_max", "q_min", "q_max")
+        self.resistance, self.reactance = line_cols[:2]
+        der_cols = table(ders, "p_min", "p_max", "q_min", "q_max",
+                         "ramp_up", "ramp_down")
+        self.ramp_up, self.ramp_down = der_cols[4:]
+        load_cols = table(net.loads, "p_min", "p_max", "q_min", "q_max")
+        volt = np.array([(b.v_min ** 2, b.v_max ** 2) for b in net.buses],
+                        dtype=float).reshape(n_bus, 2)
+        self.bound = {
+            "voltage_sq": (volt[:, :1], volt[:, 1:]),
+            "pg": der_cols[0:2], "qg": der_cols[2:4],
+            "pd": load_cols[0:2], "qd": load_cols[2:4],
+            "flow_p": line_cols[2:4], "flow_q": line_cols[4:6],
+        }
+        self.can_form = np.array([d.can_grid_form for d in ders], dtype=bool)
+        (self.e_max, self.e_initial, self.eta_charge, self.eta_discharge,
+         self.charge_max, self.discharge_max) = table(
+            store, "e_max", "initial_energy", "eta_charge", "eta_discharge",
+            "p_charge_max", "p_discharge_max")
+
+        # The island census works on bus ranks in sorted-id order, so the
+        # lowest rank in a component names its island.
+        order = sorted(range(n_bus), key=bus_ids.__getitem__)
+        rank = np.empty(n_bus, dtype=int)
+        rank[order] = np.arange(n_bus)
+        self.sorted_bus_ids = tuple(bus_ids[i] for i in order)
+        self.rank_block = self.block["buses"][order]
+        self.line_ends_rank = (rank[self.line_from], rank[self.line_to])
+        self.der_rank = rank[index((d.bus for d in ders), bus_at)]
+        self.substation_rank = int(rank[bus_at[net.substation.id]])
+
+        # row layout of all series stacked into one matrix, in SERIES order
+        self.rows, status_rows = {}, []
+        for name, _, entities, status in SERIES:
+            start = len(status_rows)
+            status_rows += [status] * len(self.ids[entities])
+            self.rows[name] = slice(start, len(status_rows))
+        self.status_rows = np.array(status_rows, dtype=bool)[:, None]
+
+
+def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
+    """Components of the closed lines in every period at once.
+
+    ``closed`` is (lines, T) and ``forming`` (ders, T).  Node t·B + r is the
+    bus of rank r in period t.  Returns each node's root, the lowest node
+    of its component, and per root the member, closed-line and forming-unit
+    counts, all flat over the T·B nodes."""
+    n_bus = len(a.sorted_bus_ids)
+    n = closed.shape[1] * n_bus
+    lines, t = np.nonzero(closed)
+    u = t * n_bus + a.line_ends_rank[0][lines]
+    v = t * n_bus + a.line_ends_rank[1][lines]
+    # hook every root onto the lowest root next to it, then compress every
+    # path, until no closed line joins two roots (scipy's
+    # connected_components costs four times as much on these small graphs)
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    ders, td = np.nonzero(forming)
+    members = np.bincount(root, minlength=n)
+    edges = np.bincount(root[u], minlength=n)
+    formers = np.bincount(root[td * n_bus + a.der_rank[ders]], minlength=n)
+    return root, members, edges, formers
+
+
 def radiality_check(net: NetworkModel, closed_line_ids: set,
                     forming_der_ids: set) -> RadialityResult:
     """Graph-theoretic radiality and grid-forming census for one period.
@@ -149,359 +286,337 @@ def radiality_check(net: NetworkModel, closed_line_ids: set,
     Components are computed over the closed lines only, with no reference
     to the tree variables of the optimization model.
     """
-    uf = UnionFind([b.id for b in net.buses])
-    closed = [l for l in net.lines if l.id in closed_line_ids]
-    for line in closed:
-        uf.union(line.from_bus, line.to_bus)
-    groups = uf.groups()
-    edge_count: dict = {root: 0 for root in groups}
-    for line in closed:
-        edge_count[uf.find(line.from_bus)] += 1
-    formers_at: dict = {}
-    for d in net.ders:
-        if d.id in forming_der_ids:
-            root = uf.find(d.bus)
-            formers_at[root] = formers_at.get(root, 0) + 1
-    substation = net.substation.id
-
-    islands = []
-    for root, members in sorted(groups.items(), key=lambda kv: min(kv[1])):
-        islands.append(
-            Island(
-                buses=frozenset(members),
-                former_count=formers_at.get(root, 0),
-                touches_root=substation in members,
-                is_tree=edge_count[root] == len(members) - 1,
-            )
+    a = _NetworkArrays(net, compute_load_blocks(net))
+    closed = np.array([[lid in closed_line_ids] for lid in a.ids["lines"]],
+                      dtype=bool).reshape(-1, 1)
+    forming = np.array([[did in forming_der_ids] for did in a.ids["ders"]],
+                       dtype=bool).reshape(-1, 1)
+    root, members, edges, formers = _census(a, closed, forming)
+    islands = tuple(
+        Island(
+            buses=frozenset(a.sorted_bus_ids[i]
+                            for i in np.flatnonzero(root == r)),
+            former_count=int(formers[r]),
+            touches_root=bool(root[a.substation_rank] == r),
+            is_tree=bool(edges[r] == members[r] - 1),
         )
+        for r in np.flatnonzero(root == np.arange(root.size))
+    )
     return RadialityResult(
-        is_forest=all(i.is_tree for i in islands), islands=tuple(islands)
+        is_forest=all(i.is_tree for i in islands), islands=islands
     )
 
 
-def validate_schedule_dims(net: NetworkModel, part: BlockPartition,
-                           scen: Scenario, sched: Schedule) -> None:
-    """Raise DimensionError when the schedule does not match the inputs."""
+def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
+    """Every series family of the schedule as an (entities, T) matrix in
+    network order, keyed by field name: views into one matrix that stacks
+    them all.  Raise DimensionError when the schedule does not match the
+    inputs."""
     T = scen.horizon
+    n_blocks = a.part.n_blocks
     if sched.horizon != T:
         raise DimensionError(f"schedule horizon {sched.horizon} != scenario {T}")
-    if sched.block_status.shape != (part.n_blocks, T):
+    if sched.block_status.shape != (n_blocks, T):
         raise DimensionError(
             f"block_status shape {sched.block_status.shape} != "
-            f"({part.n_blocks}, {T})"
+            f"({n_blocks}, {T})"
         )
-
     if not np.all((sched.block_status == 0) | (sched.block_status == 1)):
         raise DimensionError("status series must be 0/1")
-
-    for name, _, entities, status in SERIES:
-        mapping = getattr(sched, name)
-        ids = [e.id for e in getattr(net, entities)]
-        missing = set(ids) - set(mapping)
-        if missing:
-            raise DimensionError(f"{name}: missing series for {sorted(missing)}")
-        unknown = set(mapping) - set(ids)
-        if unknown:
+    series = []
+    for name, _, entities, _ in SERIES:
+        mapping, known = getattr(sched, name), a.known[entities]
+        if mapping.keys() != known:
+            missing = known - mapping.keys()
+            if missing:
+                raise DimensionError(
+                    f"{name}: missing series for {sorted(missing)}")
             raise DimensionError(
-                f"{name}: series for unknown ids {sorted(unknown)}"
+                f"{name}: series for unknown ids {sorted(mapping.keys() - known)}"
             )
-        try:
-            for key in ids:
-                if len(mapping[key]) != T:
-                    raise DimensionError(
-                        f"{name}[{key}]: length {len(mapping[key])} != horizon {T}"
-                    )
-            values = (np.concatenate(list(mapping.values())) if mapping
-                      else np.zeros(0))
-        except (TypeError, ValueError) as exc:
-            raise DimensionError(f"{name}: series must be flat arrays") from exc
-        if values.ndim != 1:
-            raise DimensionError(f"{name}: series must be flat arrays")
-        if status and not np.all((values == 0) | (values == 1)):
-            raise DimensionError("status series must be 0/1")
-        # every comparison with NaN is false, so no later check would fail
-        if not status and not np.all(np.isfinite(values)):
-            raise DimensionError(f"{name}: non-finite value")
+        series += [mapping[key] for key in a.ids[entities]]
+    try:
+        values = np.array(series)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (len(series), T):
+        _raise_shape_fault(a, sched, T)
+    if values.dtype.kind not in "biuf":
+        raise DimensionError("series values must be numbers")
+    values = values.astype(float, copy=False)
+    # every comparison with NaN is false, so no later check would fail
+    valid = np.where(a.status_rows, (values == 0) | (values == 1),
+                     np.isfinite(values)).all(axis=1)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        name, status = next((name, status) for name, _, _, status in SERIES
+                            if a.rows[name].stop > row)
+        raise DimensionError("status series must be 0/1" if status
+                             else f"{name}: non-finite value")
+    stacked = {name: values[span] for name, span in a.rows.items()}
+    stacked["block_status"] = sched.block_status
+    return stacked
 
 
-class _Collector:
-    def __init__(self):
-        self.items: list = []
+def _raise_shape_fault(a: _NetworkArrays, sched: Schedule, T: int) -> None:
+    """Name the first series, in SERIES order, that is not a flat array
+    as long as the horizon."""
+    for name, _, entities, _ in SERIES:
+        series = [(key, getattr(sched, name)[key]) for key in a.ids[entities]]
+        for key, values in series:
+            try:
+                length = len(values)
+            except TypeError:
+                break
+            if length != T:
+                raise DimensionError(
+                    f"{name}[{key}]: length {length} != horizon {T}"
+                )
+        if any(np.ndim(values) != 1 for _, values in series):
+            break
+    raise DimensionError(f"{name}: series must be flat arrays")
 
-    def breach(self, family, entity, period, lhs, rhs, tol):
-        """Record lhs <= rhs violated beyond tol."""
-        if lhs > rhs + tol:
-            self.items.append(
-                Violation(family, str(entity), period, float(lhs), float(rhs),
-                          float(lhs - rhs))
-            )
 
-    def residual(self, family, entity, period, value, tol):
-        """Record |value| > tol."""
-        if abs(value) > tol:
-            self.items.append(
-                Violation(family, str(entity), period, float(value), 0.0,
-                          float(abs(value)))
-            )
+def _breach(family, lhs, rhs, tol, where=None, suffix=""):
+    """Check lhs <= rhs within tol, only where ``where`` holds."""
+    mask = lhs > rhs + tol
+    return (family, suffix, mask if where is None else mask & where, lhs,
+            rhs, False)
+
+
+def _residual(family, value, tol, where=None, suffix=""):
+    """Check |value| <= tol, only where ``where`` holds."""
+    mask = np.abs(value) > tol
+    return (family, suffix, mask if where is None else mask & where, value,
+            0.0, True)
+
+
+def _gated(family, x, live, lo, hi) -> tuple:
+    """x must be zero when its gate is off, within [lo, hi] when on."""
+    return (_residual(family, x, RESIDUAL_TOL, ~live),
+            _breach(family, x, hi, RESIDUAL_TOL, live),
+            _breach(family, lo, x, RESIDUAL_TOL, live))
+
+
+def _at(x, e: int, t: int):
+    """Entry (e, t) of a scalar or of an array broadcast to the mask."""
+    if not isinstance(x, np.ndarray):
+        return x
+    return x[min(e, x.shape[0] - 1), min(t, x.shape[1] - 1)]
+
+
+def _emit(out: list, ids, checks, first_period: int = 0) -> None:
+    """Append a Violation for every true mask entry of ``checks``, ordered
+    by entity, then period, then check.  A check is (family, entity
+    suffix, (entities, periods) mask, lhs, rhs, residual); a residual
+    reports |lhs| as its breach, any other check lhs - rhs."""
+    if not any(c[2].any() for c in checks):
+        return
+    hits = np.nonzero(np.stack([c[2] for c in checks], axis=-1))
+    for e, t, c in zip(*(h.tolist() for h in hits)):
+        family, suffix, _, lhs, rhs, residual = checks[c]
+        lhs, rhs = _at(lhs, e, t), _at(rhs, e, t)
+        slack = abs(lhs) if residual else lhs - rhs
+        out.append(Violation(family, ids[e] + suffix, t + first_period,
+                             float(lhs), float(rhs), float(slack)))
 
 
 def verify_schedule(net: NetworkModel, part: BlockPartition, scen: Scenario,
                     sched: Schedule, mode: str = "equitable") -> ViolationReport:
     """Re-derive every constraint family and report all breaches."""
-    validate_schedule_dims(net, part, scen, sched)
-    out = _Collector()
-    z = sched.block_status
-
-    check_wildfire(out, scen, z)
-    check_block_budget(out, scen, z)
-    check_switch_budget(out, part, scen, sched.switch_status)
-    check_fixed_lines(out, net, sched)
-    check_alignment(out, part, sched, z)
-    check_islands(out, net, part, sched, z)
-    check_gating(out, net, part, scen, sched, z)
-    check_ramping(out, net, sched)
-    check_power_flow(out, net, sched)
-    check_balance(out, net, sched)
-    check_storage(out, net, part, scen, sched, z)
+    a = _NetworkArrays(net, part)
+    s = _stack_series(a, scen, sched)
+    out: list = []
+    _per_period(out, scen, s["block_status"],
+                (s["switch_status"][a.switches] == 0).sum(axis=0))
+    for family in (_switches, _islands, _gating, _ramping, _power_flow,
+                   _balance, _storage):
+        family(out, a, s, scen)
     if mode == "equitable":
-        out.items.extend(equity_violations(scen, z))
-    return ViolationReport(tuple(out.items))
+        out.extend(equity_violations(scen, s["block_status"]))
+    return ViolationReport(tuple(out))
 
 
 def equity_violations(scen: Scenario, block_status: np.ndarray) -> list:
     """Horizon-level equity checks recomputed from block statuses alone:
     emergency energization, shed-count caps, shed-duration windows,
     recomputed status-change counts, proportional shares, and pairwise
-    ratios.  Counting is exact integer arithmetic."""
-    out = _Collector()
+    ratios.  Counting is exact integer arithmetic.  These are per-block
+    counts, few enough that plain loops beat array set-up."""
+    out: list = []
+
+    def breach(family, entity, period, lhs, rhs):
+        if lhs > rhs + LOGIC_TOL:
+            out.append(Violation(family, entity, period, float(lhs),
+                                 float(rhs), float(lhs - rhs)))
+
     z = np.asarray(block_status)
     n_blocks, T = z.shape
     sheds = T - z.sum(axis=1)
-    changes = (np.abs(np.diff(z, axis=1)).sum(axis=1) if T > 1
-               else np.zeros(n_blocks, dtype=int))
+    changes = np.abs(np.diff(z, axis=1)).sum(axis=1)
     for k in scen.emergency:
-        out.breach("emergency", f"blk{k}", None, int(T - z[k].sum()), 0,
-                   LOGIC_TOL)
+        breach("emergency", f"blk{k}", None, int(sheds[k]), 0)
     regular = [k for k in range(n_blocks) if k not in scen.emergency]
     total = int(sheds.sum())
     for k in regular:
-        out.breach("alpha_cap", f"blk{k}", None, int(sheds[k]),
-                   scen.alpha[k], LOGIC_TOL)
-        out.breach("status_changes", f"blk{k}", None, int(changes[k]),
-                   scen.m, LOGIC_TOL)
+        breach("alpha_cap", f"blk{k}", None, int(sheds[k]), scen.alpha[k])
+        breach("status_changes", f"blk{k}", None, int(changes[k]), scen.m)
         if scen.lam < 1.0:
             width = scen.window + 1
             for start in range(0, T - scen.window):
                 offs = int(width - z[k, start:start + width].sum())
-                out.breach("shed_window", f"blk{k}", start, offs,
-                           scen.lam * width, LOGIC_TOL)
-        out.breach("share_cap", f"blk{k}", None, int(sheds[k]),
-                   scen.psi[k] * total, LOGIC_TOL)
+                breach("shed_window", f"blk{k}", start, offs,
+                       scen.lam * width)
+        breach("share_cap", f"blk{k}", None, int(sheds[k]),
+               scen.psi[k] * total)
     for k in regular:
         for v in regular:
-            if k == v:
-                continue
             beta = scen.beta[k][v]
-            if math.isfinite(beta):
-                out.breach("pair_ratio", f"blk{k}/blk{v}", None,
-                           int(sheds[k]), beta * int(sheds[v]), LOGIC_TOL)
-    return out.items
+            if k != v and math.isfinite(beta):
+                breach("pair_ratio", f"blk{k}/blk{v}", None,
+                       int(sheds[k]), beta * int(sheds[v]))
+    return out
 
 
-def check_wildfire(out, scen: Scenario, z: np.ndarray) -> None:
-    for t in range(scen.horizon):
-        risk = np.array([scen.risk[k][t] for k in range(z.shape[0])])
-        out.breach("wildfire_cap", "system", t, float(risk @ z[:, t]),
-                   scen.epsilon * risk.sum(), RESIDUAL_TOL)
+def _per_period(out: list, scen: Scenario, z: np.ndarray,
+                open_switches: np.ndarray) -> None:
+    """Wildfire cap, block budget and switch budget, one row per period."""
+    # over contiguous (T, blocks) rows, the per-period dot products and sums
+    # add their terms in the order, and so with the rounding, of the
+    # one-period formulas
+    risk = np.ascontiguousarray(np.array(scen.risk, dtype=float).T)
+    on = np.ascontiguousarray(z.T, dtype=float)
+    exposure = (risk[:, None, :] @ on[:, :, None]).reshape(1, -1)
+    system = ("system",)
+    _emit(out, system, [_breach("wildfire_cap", exposure,
+                                scen.epsilon * risk.sum(axis=1)[None],
+                                RESIDUAL_TOL)])
+    _emit(out, system, [_breach("block_budget",
+                                (z.shape[0] - z.sum(axis=0))[None],
+                                scen.k_bl_max, LOGIC_TOL)])
+    _emit(out, system, [_breach("switch_budget", open_switches[None],
+                                scen.k_sw_max, LOGIC_TOL)])
 
 
-def check_block_budget(out, scen: Scenario, z: np.ndarray) -> None:
-    n_blocks = z.shape[0]
-    for t in range(scen.horizon):
-        offs = int(n_blocks - z[:, t].sum())
-        out.breach("block_budget", "system", t, offs, scen.k_bl_max, LOGIC_TOL)
+def _switches(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
+    """A line that is not switchable is closed in every period, and a
+    closed switch joins blocks of equal status."""
+    status = s["switch_status"]
+    _emit(out, a.ids["lines"], [_residual("fixed_line", 1.0, LOGIC_TOL,
+                                          (status == 0) & a.fixed[:, None])])
+    z = s["block_status"]
+    ki, kj = a.tie_ends
+    split = (status[a.tie_rows] == 1) & (z[ki] != z[kj])
+    _emit(out, a.tie_ids, [_residual("alignment", 1.0, LOGIC_TOL, split)])
 
 
-def check_switch_budget(out, part: BlockPartition, scen: Scenario,
-                        switch_status: dict) -> None:
-    switchable = [lid for lid, _, _ in part.block_graph]
-    for t in range(scen.horizon):
-        open_count = sum(1 for lid in switchable if switch_status[lid][t] == 0)
-        out.breach("switch_budget", "system", t, open_count, scen.k_sw_max,
-                   LOGIC_TOL)
-
-
-def check_fixed_lines(out, net: NetworkModel, sched: Schedule) -> None:
-    """A line that is not switchable is closed in every period."""
-    for line in net.lines:
-        if line.switchable:
-            continue
-        series = sched.switch_status[line.id]
-        for t in range(sched.horizon):
-            if series[t] == 0:
-                out.residual("fixed_line", line.id, t, 1.0, LOGIC_TOL)
-
-
-def check_alignment(out, part: BlockPartition, sched: Schedule,
-                    z: np.ndarray) -> None:
-    for lid, ki, kj in part.block_graph:
-        if ki == kj:
-            continue
-        series = sched.switch_status[lid]
-        for t in range(sched.horizon):
-            if series[t] == 1 and z[ki, t] != z[kj, t]:
-                out.residual("alignment", lid, t, 1.0, LOGIC_TOL)
-
-
-def check_islands(out, net: NetworkModel, part: BlockPartition,
-                  sched: Schedule, z: np.ndarray) -> None:
+def _islands(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
     """Energized components must be trees holding exactly one forming
-    reference, or touch the substation."""
-    for t in range(sched.horizon):
-        forming = sched.forming_units(t)
-        # two passes: units that cannot form are reported before dead blocks
-        for d in net.ders:
-            if d.id in forming and not d.can_grid_form:
-                out.residual("grid_forming", d.id, t, 1.0, LOGIC_TOL)
-        for d in net.ders:
-            if (d.id in forming and d.can_grid_form
-                    and z[part.block_of(d.bus), t] == 0):
-                out.residual("grid_forming", f"{d.id}:dead-block", t, 1.0,
-                             LOGIC_TOL)
-        result = radiality_check(net, sched.closed_lines(t), forming)
-        for island in result.islands:
-            energized = any(
-                z[part.block_of(b), t] == 1 for b in island.buses
-            )
-            if not energized:
-                continue
-            name = f"island[{min(island.buses)}]"
-            if not island.is_tree:
-                out.residual("radiality", name, t, 1.0, LOGIC_TOL)
-            if not island.touches_root and island.former_count != 1:
-                out.residual("grid_forming", name, t,
-                             island.former_count - 1, LOGIC_TOL)
+    reference, or touch the substation.  Per period: units that cannot
+    form, then forming units in dead blocks, then islands by lowest bus id."""
+    z = s["block_status"]
+    forming = s["grid_forming"] == 1
+    der_ids = a.ids["ders"]
+    found = []  # (period, stage, index, violation)
+    for stage, suffix, mask in (
+        (0, "", forming & ~a.can_form[:, None]),
+        (1, ":dead-block",
+         forming & a.can_form[:, None] & (z[a.block["ders"]] == 0)),
+    ):
+        for d, t in zip(*(h.tolist() for h in np.nonzero(mask))):
+            found.append((t, stage, d, Violation(
+                "grid_forming", der_ids[d] + suffix, t, 1.0, 0.0, 1.0)))
+
+    root, members, edges, formers = _census(a, s["switch_status"] == 1,
+                                            forming)
+    n_bus = len(a.sorted_bus_ids)
+    nodes = np.arange(root.size)
+    energized = np.bincount(root, weights=(z[a.rank_block] == 1).T.ravel(),
+                            minlength=root.size) > 0
+    touches = root[nodes // n_bus * n_bus + a.substation_rank] == nodes
+    live = (root == nodes) & energized
+    faulty = (edges != members - 1) | (~touches & (formers != 1))
+    for node in np.flatnonzero(live & faulty).tolist():
+        t, r = divmod(node, n_bus)
+        name = f"island[{a.sorted_bus_ids[r]}]"
+        if edges[node] != members[node] - 1:
+            found.append((t, 2, 2 * r, Violation(
+                "radiality", name, t, 1.0, 0.0, 1.0)))
+        if not touches[node] and formers[node] != 1:
+            extra = int(formers[node]) - 1
+            found.append((t, 2, 2 * r + 1, Violation(
+                "grid_forming", name, t, float(extra), 0.0,
+                float(abs(extra)))))
+    found.sort(key=lambda f: f[:3])
+    out.extend(f[3] for f in found)
 
 
-def _gated(out, family, entity, t, x, live, lo, hi) -> None:
-    """x must be zero when its gate is off, within [lo, hi] when on."""
-    if not live:
-        out.residual(family, entity, t, x, RESIDUAL_TOL)
-    else:
-        out.breach(family, entity, t, x, hi, RESIDUAL_TOL)
-        out.breach(family, entity, t, lo, x, RESIDUAL_TOL)
+def _gating(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
+    z = s["block_status"]
+    mult = np.array(scen.demand_multiplier, dtype=float)
+    for family, names, entities in _GATED:
+        live = z[a.block[entities]] != 0
+        checks = []
+        for name in names:
+            lo, hi = a.bound[name]
+            if entities == "loads":  # demand bounds follow the multiplier
+                lo, hi = lo * mult, hi * mult
+            checks += _gated(family, s[name], live, lo, hi)
+        _emit(out, a.ids[entities], checks)
 
 
-def check_gating(out, net: NetworkModel, part: BlockPartition, scen: Scenario,
-                 sched: Schedule, z: np.ndarray) -> None:
-    for b in net.buses:
-        k = part.block_of(b.id)
-        w = sched.voltage_sq[b.id]
-        for t in range(scen.horizon):
-            _gated(out, "voltage_gating", b.id, t, w[t], z[k, t] != 0,
-                   b.v_min ** 2, b.v_max ** 2)
-    for d in net.ders:
-        k = part.block_of(d.bus)
-        for t in range(scen.horizon):
-            live = z[k, t] != 0
-            _gated(out, "gen_gating", d.id, t, sched.pg[d.id][t], live,
-                   d.p_min, d.p_max)
-            _gated(out, "gen_gating", d.id, t, sched.qg[d.id][t], live,
-                   d.q_min, d.q_max)
-    for ld in net.loads:
-        k = part.block_of(ld.bus)
-        for t in range(scen.horizon):
-            mult = scen.demand_multiplier[t]
-            live = z[k, t] != 0
-            _gated(out, "load_gating", ld.id, t, sched.pd[ld.id][t], live,
-                   ld.p_min * mult, ld.p_max * mult)
-            _gated(out, "load_gating", ld.id, t, sched.qd[ld.id][t], live,
-                   ld.q_min * mult, ld.q_max * mult)
+def _ramping(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
+    pg = s["pg"]
+    rise, fall = pg[:, 1:] - pg[:, :-1], pg[:, :-1] - pg[:, 1:]
+    _emit(out, a.ids["ders"],
+          [_breach("ramping", rise, a.ramp_up, RESIDUAL_TOL),
+           _breach("ramping", fall, a.ramp_down, RESIDUAL_TOL)],
+          first_period=1)
 
 
-def check_ramping(out, net: NetworkModel, sched: Schedule) -> None:
-    for d in net.ders:
-        pg = sched.pg[d.id]
-        for t in range(1, sched.horizon):
-            if math.isfinite(d.ramp_up):
-                out.breach("ramping", d.id, t, pg[t] - pg[t - 1], d.ramp_up,
-                           RESIDUAL_TOL)
-            if math.isfinite(d.ramp_down):
-                out.breach("ramping", d.id, t, pg[t - 1] - pg[t], d.ramp_down,
-                           RESIDUAL_TOL)
-
-
-def check_power_flow(out, net: NetworkModel, sched: Schedule) -> None:
+def _power_flow(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
     """Voltage drop along closed lines and flow gating on every line."""
-    for line in net.lines:
-        status = sched.switch_status[line.id]
-        p, q = sched.flow_p[line.id], sched.flow_q[line.id]
-        wf = sched.voltage_sq[line.from_bus]
-        wt = sched.voltage_sq[line.to_bus]
-        for t in range(sched.horizon):
-            live = status[t] == 1
-            if live:
-                drop = wt[t] - wf[t] + 2.0 * (
-                    line.resistance * p[t] + line.reactance * q[t]
-                )
-                out.residual("voltage_drop", line.id, t, drop, RESIDUAL_TOL)
-            _gated(out, "flow_gating", line.id, t, p[t], live,
-                   line.p_min, line.p_max)
-            _gated(out, "flow_gating", line.id, t, q[t], live,
-                   line.q_min, line.q_max)
+    live = s["switch_status"] == 1
+    p, q, w = s["flow_p"], s["flow_q"], s["voltage_sq"]
+    drop = w[a.line_to] - w[a.line_from] + 2.0 * (
+        a.resistance * p + a.reactance * q
+    )
+    _emit(out, a.ids["lines"],
+          [_residual("voltage_drop", drop, RESIDUAL_TOL, live),
+           *_gated("flow_gating", p, live, *a.bound["flow_p"]),
+           *_gated("flow_gating", q, live, *a.bound["flow_q"])])
 
 
-def check_balance(out, net: NetworkModel, sched: Schedule) -> None:
-    # each bus's line ends in line order: -1 where a line leaves, +1 where
-    # it arrives
-    ends: dict = {b.id: [] for b in net.buses}
-    for line in net.lines:
-        ends[line.from_bus].append((line.id, -1.0))
-        ends[line.to_bus].append((line.id, 1.0))
-    for b in net.buses:
-        for t in range(sched.horizon):
-            p = sum(sched.pg[g][t] for g in b.attached_generators)
-            p += sum(
-                sched.storage_discharge[s][t] - sched.storage_charge[s][t]
-                for s in b.attached_storage
-            )
-            p -= sum(sched.pd[l][t] for l in b.attached_loads)
-            q = sum(sched.qg[g][t] for g in b.attached_generators)
-            q -= sum(sched.qd[l][t] for l in b.attached_loads)
-            for lid, sign in ends[b.id]:
-                p += sign * sched.flow_p[lid][t]
-                q += sign * sched.flow_q[lid][t]
-            out.residual("nodal_balance", b.id, t, p, RESIDUAL_TOL)
-            out.residual("nodal_balance", f"{b.id}:q", t, q, RESIDUAL_TOL)
+def _balance(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
+    der, load = a.inc["ders"], a.inc["loads"]
+    p = (der @ s["pg"]
+         + a.inc["storage"] @ (s["storage_discharge"] - s["storage_charge"])
+         - load @ s["pd"] + a.line_inc @ s["flow_p"])
+    q = der @ s["qg"] - load @ s["qd"] + a.line_inc @ s["flow_q"]
+    _emit(out, a.ids["buses"],
+          [_residual("nodal_balance", p, RESIDUAL_TOL),
+           _residual("nodal_balance", q, RESIDUAL_TOL, suffix=":q")])
 
 
-def check_storage(out, net: NetworkModel, part: BlockPartition, scen: Scenario,
-                  sched: Schedule, z: np.ndarray) -> None:
-    dh = scen.period_hours
-    for s in net.storage:
-        e = sched.storage_energy[s.id]
-        pch = sched.storage_charge[s.id]
-        pdis = sched.storage_discharge[s.id]
-        zs = sched.storage_on[s.id]
-        zch = sched.storage_charging[s.id]
-        zdis = sched.storage_discharging[s.id]
-        k = part.block_of(s.bus)
-        for t in range(scen.horizon):
-            prev = s.initial_energy if t == 0 else e[t - 1]
-            gain = dh * (s.eta_charge * pch[t] - pdis[t] / s.eta_discharge)
-            out.residual("storage_energy", s.id, t, e[t] - prev - gain,
-                         RESIDUAL_TOL)
-            out.breach("storage_energy", s.id, t, e[t], s.e_max, RESIDUAL_TOL)
-            out.breach("storage_energy", s.id, t, 0.0, e[t], RESIDUAL_TOL)
-            out.residual("storage_status", s.id, t,
-                         zch[t] + zdis[t] - zs[t], LOGIC_TOL)
-            out.breach("storage_status", s.id, t, zs[t], z[k, t], LOGIC_TOL)
-            out.breach("storage_status", s.id, t, pch[t],
-                       s.p_charge_max * zch[t], RESIDUAL_TOL)
-            out.breach("storage_status", s.id, t, pdis[t],
-                       s.p_discharge_max * zdis[t], RESIDUAL_TOL)
-            out.breach("storage_status", s.id, t, 0.0, pch[t], RESIDUAL_TOL)
-            out.breach("storage_status", s.id, t, 0.0, pdis[t], RESIDUAL_TOL)
+def _storage(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
+    e = s["storage_energy"]
+    pch, pdis = s["storage_charge"], s["storage_discharge"]
+    zs, zch, zdis = (s["storage_on"], s["storage_charging"],
+                     s["storage_discharging"])
+    prev = np.concatenate([a.e_initial, e[:, :-1]], axis=1)
+    gain = scen.period_hours * (a.eta_charge * pch - pdis / a.eta_discharge)
+    block_on = s["block_status"][a.block["storage"]]
+    _emit(out, a.ids["storage"], [
+        _residual("storage_energy", e - prev - gain, RESIDUAL_TOL),
+        _breach("storage_energy", e, a.e_max, RESIDUAL_TOL),
+        _breach("storage_energy", 0.0, e, RESIDUAL_TOL),
+        _residual("storage_status", zch + zdis - zs, LOGIC_TOL),
+        _breach("storage_status", zs, block_on, LOGIC_TOL),
+        _breach("storage_status", pch, a.charge_max * zch, RESIDUAL_TOL),
+        _breach("storage_status", pdis, a.discharge_max * zdis, RESIDUAL_TOL),
+        _breach("storage_status", 0.0, pch, RESIDUAL_TOL),
+        _breach("storage_status", 0.0, pdis, RESIDUAL_TOL),
+    ])
 
 
 def schedule_to_dict(sched: Schedule) -> dict:
@@ -518,14 +633,23 @@ def schedule_to_dict(sched: Schedule) -> dict:
     return doc
 
 
-def _status_array(values, name: str) -> np.ndarray:
-    """Integer statuses; unlike a cast to int, 1.5 is rejected, not truncated."""
+def _read_series(values, name: str, status: bool) -> np.ndarray:
+    """A JSON array of numbers, or of rows of numbers, as an array.
+    Strings, nulls and booleans are refused, not parsed or cast: numpy
+    would read a true inside a list of numbers as 1.  Statuses must be
+    integers (1.5 is refused, not truncated)."""
     a = np.asarray(values)
-    if a.dtype.kind == "i":
-        return a
-    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+    kind = a.dtype.kind
+    flat = chain.from_iterable(values) if a.ndim == 2 else values
+    if kind not in "iuf" or (0 < a.ndim < 3 and bool in set(map(type, flat))):
+        what = "status values must be integers" if status else \
+            "values must be numbers"
+        raise ParseError(f"{name}: {what}")
+    if not status:
+        return a.astype(float, copy=False)
+    if kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
         raise ParseError(f"{name}: status values must be integers")
-    return a.astype(int)
+    return a if kind == "i" else a.astype(int)
 
 
 def schedule_from_dict(data: dict) -> Schedule:
@@ -534,18 +658,15 @@ def schedule_from_dict(data: dict) -> Schedule:
         horizon = data["horizon"]
         if not isinstance(horizon, int) or isinstance(horizon, bool):
             raise ParseError(f"horizon: expected an integer, got {horizon!r}")
-        block_status = _status_array(data["block_status"], "block_status")
+        block_status = _read_series(data["block_status"], "block_status",
+                                    True)
         series = {}
         for name, section, _, status in SERIES:
             # top-level series are required, dispatch series may be omitted
             source = (data[name] if section is None
                       else data.get(section, {}).get(name, {}))
-            if status:
-                series[name] = {key: _status_array(values, name)
-                                for key, values in source.items()}
-            else:
-                series[name] = {key: np.asarray(values, dtype=float)
-                                for key, values in source.items()}
+            series[name] = {key: _read_series(values, f"{name}[{key}]", status)
+                            for key, values in source.items()}
         return Schedule(horizon=horizon, block_status=block_status, **series)
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:

@@ -41,8 +41,9 @@ def assert_islands_sound(net, part, sched):
     """Every energized component is a tree holding exactly one forming
     reference, unless it touches the substation."""
     for t in range(sched.horizon):
-        result = radiality_check(net, sched.closed_lines(t),
-                                 sched.forming_units(t))
+        closed = {lid for lid, s in sched.switch_status.items() if s[t] == 1}
+        forming = {did for did, s in sched.grid_forming.items() if s[t] == 1}
+        result = radiality_check(net, closed, forming)
         for island in result.islands:
             energized = any(
                 sched.block_status[part.block_of(b), t] == 1

@@ -22,13 +22,7 @@ from gridshed import (
     verify_schedule,
 )
 from gridshed.analysis import extract_schedule
-from gridshed.checker import (
-    SERIES,
-    _Collector,
-    check_block_budget,
-    equity_violations,
-    validate_schedule_dims,
-)
+from gridshed.checker import SERIES, _per_period, equity_violations
 from gridshed.instances import (
     desk_network,
     desk_scenario,
@@ -72,9 +66,9 @@ class TestEquityCounts:
     def test_rotation_passes_reference_limits(self, scen6):
         scen = scen6()
         assert equity_violations(scen, ROTATION) == []
-        out = _Collector()
-        check_block_budget(out, scen, ROTATION)
-        assert out.items == []
+        out = []
+        _per_period(out, scen, ROTATION, np.zeros(8, dtype=int))
+        assert [v for v in out if v.family == "block_budget"] == []
 
     def test_emergency_breach_flagged(self, scen6):
         z = ROTATION.copy()
@@ -352,6 +346,25 @@ class TestScheduleDocument:
         with pytest.raises(ParseError, match="integers"):
             schedule_from_dict(doc)
 
+    @pytest.mark.parametrize("series, path, value", [
+        ("switch_status", ("switch_status", "s1", 0), "1"),
+        ("grid_forming", ("grid_forming", "pv1", 3), True),
+        ("block_status", ("block_status", 2, 5), False),
+        ("pg", ("dispatch", "pg", "grid", 1), "0.1886"),
+        ("pd", ("dispatch", "pd", "d3", 0), True),
+        ("flow_q", ("dispatch", "flow_q", "l04", 7), None),
+    ], ids=["string-status", "true-status", "false-block", "string-dispatch",
+            "true-dispatch", "null-dispatch"])
+    def test_non_number_values_rejected(self, solved, series, path, value):
+        # numpy would parse the strings and read true and false as 1 and 0
+        doc = schedule_to_dict(solved[3])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError, match=rf"^{series}\b"):
+            schedule_from_dict(doc)
+
     @pytest.mark.parametrize("horizon", [8.9, 8.0, True, "8", None])
     def test_horizon_must_be_an_integer(self, solved, horizon):
         doc = schedule_to_dict(solved[3])
@@ -410,7 +423,7 @@ class TestScheduleDocument:
         text = json.dumps(doc)
         again = schedule_from_dict(json.loads(text))
         assert json.dumps(schedule_to_dict(again)) == text
-        validate_schedule_dims(net, part, scen, again)
+        verify_schedule(net, part, scen, again)  # shapes match: no raise
 
 
 # checker family for every row group the builder can emit

@@ -115,8 +115,16 @@ def nan_flows_and_output(doc):
     lambda doc: doc["dispatch"]["pg"].update(ghost=[1e9] * doc["horizon"]),
     lambda doc: doc["dispatch"]["flow_p"].update(ghost2=[0.0]),
     lambda doc: doc["grid_forming"].update(ghost=[1] * doc["horizon"]),
+    lambda doc: doc["switch_status"].update(
+        {k: [str(x) for x in v] for k, v in doc["switch_status"].items()}),
+    lambda doc: doc["dispatch"]["pg"].update(
+        {k: [str(x) for x in v] for k, v in doc["dispatch"]["pg"].items()}),
+    lambda doc: doc["block_status"].__setitem__(
+        0, [False] * len(doc["block_status"][0])),
+    lambda doc: doc["block_status"][0].__setitem__(0, True),
 ], ids=["nan-dispatch", "pg-list", "nested-status", "ghost-pg", "ghost-flow",
-        "ghost-forming"])
+        "ghost-forming", "string-status", "string-dispatch", "false-block-row",
+        "one-true-in-block-row"])
 def test_check_rejects_malformed_schedule(case_files, capsys, tmp_path, edit):
     net, scen, _ = case_files
     sched_path = tmp_path / "sched.json"
