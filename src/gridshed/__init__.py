@@ -20,7 +20,6 @@ from .analysis import (
 from .checker import (
     Schedule,
     ViolationReport,
-    radiality_check,
     schedule_from_dict,
     schedule_to_dict,
     verify_schedule,
@@ -56,7 +55,6 @@ from .netmodel import (
     parse_scenario,
 )
 from .solver import (
-    LpSolution,
     MilpSolution,
     SolverOptions,
     brute_force_solve,

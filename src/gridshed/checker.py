@@ -25,12 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .netmodel import (
-    BlockPartition,
-    NetworkModel,
-    Scenario,
-    compute_load_blocks,
-)
+from .netmodel import BlockPartition, NetworkModel, Scenario
 
 RESIDUAL_TOL = 1e-6
 LOGIC_TOL = 1e-9
@@ -133,20 +128,6 @@ class ViolationReport:
                 for v in self.violations
             ],
         }
-
-
-@dataclass(frozen=True)
-class Island:
-    buses: frozenset
-    former_count: int
-    touches_root: bool
-    is_tree: bool
-
-
-@dataclass(frozen=True)
-class RadialityResult:
-    is_forest: bool
-    islands: tuple
 
 
 # The gated dispatch families: (family, series, network collection).
@@ -277,34 +258,6 @@ def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
     edges = np.bincount(root[u], minlength=n)
     formers = np.bincount(root[td * n_bus + a.der_rank[ders]], minlength=n)
     return root, members, edges, formers
-
-
-def radiality_check(net: NetworkModel, closed_line_ids: set,
-                    forming_der_ids: set) -> RadialityResult:
-    """Graph-theoretic radiality and grid-forming census for one period.
-
-    Components are computed over the closed lines only, with no reference
-    to the tree variables of the optimization model.
-    """
-    a = _NetworkArrays(net, compute_load_blocks(net))
-    closed = np.array([[lid in closed_line_ids] for lid in a.ids["lines"]],
-                      dtype=bool).reshape(-1, 1)
-    forming = np.array([[did in forming_der_ids] for did in a.ids["ders"]],
-                       dtype=bool).reshape(-1, 1)
-    root, members, edges, formers = _census(a, closed, forming)
-    islands = tuple(
-        Island(
-            buses=frozenset(a.sorted_bus_ids[i]
-                            for i in np.flatnonzero(root == r)),
-            former_count=int(formers[r]),
-            touches_root=bool(root[a.substation_rank] == r),
-            is_tree=bool(edges[r] == members[r] - 1),
-        )
-        for r in np.flatnonzero(root == np.arange(root.size))
-    )
-    return RadialityResult(
-        is_forest=all(i.is_tree for i in islands), islands=islands
-    )
 
 
 def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:

@@ -30,8 +30,6 @@ EXIT_LIMIT = 3
 
 
 def _solver_options(args) -> SolverOptions:
-    if not 0 < args.gap < 1:
-        raise GridshedError(f"gap must be in (0, 1), got {args.gap}")
     return SolverOptions(
         gap_target=args.gap,
         time_limit=args.time_limit,
@@ -89,7 +87,10 @@ def _parse_values(spec: str) -> list:
         parts = spec.split(":")
         if len(parts) != 3:
             raise GridshedError(f"bad range spec {spec!r}; expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_number(p, spec) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise GridshedError(
+                f"bad range spec {spec!r}; start, step and stop must be finite")
         if step <= 0:
             raise GridshedError("range step must be positive")
         values = []
@@ -98,11 +99,15 @@ def _parse_values(spec: str) -> list:
             values.append(round(v, 12))
             v += step
         return values
-    values = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        values.append(math.inf if tok in ("inf", "Inf", "INF") else float(tok))
-    return values
+    return [_number(tok, spec) for tok in spec.split(",")]
+
+
+def _number(token: str, spec: str) -> float:
+    """One value of a --values spec; float() also reads inf."""
+    try:
+        return float(token)
+    except ValueError:
+        raise GridshedError(f"bad value {token.strip()!r} in {spec!r}") from None
 
 
 def cmd_sweep(args) -> int:

@@ -24,6 +24,7 @@ vulnerability-weighted objective term.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -34,32 +35,30 @@ from .netmodel import BlockPartition, NetworkModel, Scenario
 MODES = ("original", "equitable")
 
 
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    """Immutable standard-form model: min c'x s.t. rows, bounds, integrality.
+    """Standard-form model: min c'x + objective_constant subject to
+    row_lo <= A x <= row_hi, lo <= x <= hi, and x integral where
+    ``is_binary``.
 
-    The rows are stored once, as a CSR matrix ``A`` with row bounds
-    ``row_lo <= A x <= row_hi`` (an infinite side for ``<=`` and ``>=``
-    rows, equal sides for ``=`` rows); ``solver`` consumes exactly this
-    form.  ``series[(family, entity)]`` is the range of one variable
-    series' columns in period order; the series partition the columns
-    in registration order.
+    ``A`` is canonical CSR (sorted columns, no duplicate or stored zero);
+    an infinite side marks a ``<=`` or ``>=`` row, equal sides an ``=``
+    row.  ``solver`` hands exactly these arrays to HiGHS.
+    ``series[(family, entity)]`` is the range of one variable series'
+    columns in period order; the series partition the columns in
+    registration order, and ``row_groups`` names each row's group.
     """
 
-    def __init__(self, series, lo, hi, is_binary,
-                 row_groups, row_lo, row_hi, indptr, cols, vals,
-                 objective_cols, objective_vals, objective_constant):
-        self.series = series
-        self.lo = lo
-        self.hi = hi
-        self.is_binary = is_binary
-        self.row_groups = row_groups
-        self.row_lo = row_lo
-        self.row_hi = row_hi
-        self._matrix = csr_matrix((vals, cols, indptr),
-                                  shape=(len(row_lo), len(lo)))
-        self.objective_cols = objective_cols
-        self.objective_vals = objective_vals
-        self.objective_constant = objective_constant
+    series: dict
+    lo: np.ndarray
+    hi: np.ndarray
+    is_binary: np.ndarray
+    row_groups: tuple
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    A: csr_matrix
+    c: np.ndarray
+    objective_constant: float
 
     @property
     def num_vars(self) -> int:
@@ -69,25 +68,8 @@ class MilpModel:
     def num_rows(self) -> int:
         return len(self.row_lo)
 
-    def row(self, i: int):
-        """(columns, coefficients, lower bound, upper bound) of row ``i``."""
-        a = self._matrix
-        start, stop = a.indptr[i], a.indptr[i + 1]
-        return (a.indices[start:stop], a.data[start:stop],
-                self.row_lo[i], self.row_hi[i])
-
-    def free_binary_columns(self) -> np.ndarray:
-        free = self.is_binary & (self.lo != self.hi)
-        return np.flatnonzero(free)
-
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.num_vars)
-        c[self.objective_cols] = self.objective_vals
-        return c
-
     def constraint_matrix(self) -> csr_matrix:
-        """The rows as a (num_rows, num_vars) CSR matrix."""
-        return self._matrix
+        return self.A
 
 
 class ModelBuilder:
@@ -152,6 +134,12 @@ class ModelBuilder:
         for line_id, ki, kj in self.switch_edges:
             self.switches_of_block[ki].append(line_id)
             self.switches_of_block[kj].append(line_id)
+
+        # (der, load, storage) ids by bus, each list in network order
+        self.units_at = {b.id: ([], [], []) for b in net.buses}
+        for i, name in enumerate(("ders", "loads", "storage")):
+            for unit in getattr(net, name):
+                self.units_at[unit.bus][i].append(unit.id)
 
         self.formers_of_block: dict = {k: [] for k in range(part.n_blocks)}
         for d in net.ders:
@@ -336,27 +324,27 @@ class ModelBuilder:
                 self._gate("flow_gating", self._col("qflow", line.id, t), zsw,
                            line.q_min, line.q_max)
         for b in self.net.buses:
+            ders, loads, storage = self.units_at[b.id]
+            # a line's forward arc enters its to-bus and leaves its from-bus
+            lines = [(line.id, sign)
+                     for sign, arcs in ((1.0, self.arcs_in[b.id]),
+                                        (-1.0, self.arcs_out[b.id]))
+                     for line, tag, _, _ in arcs if tag == "f"]
             for t in range(self.T):
                 pcols, pvals = [], []
                 qcols, qvals = [], []
-                for gid in b.attached_generators:
+                for gid in ders:
                     pcols.append(self._col("pg", gid, t)); pvals.append(1.0)
                     qcols.append(self._col("qg", gid, t)); qvals.append(1.0)
-                for sid in b.attached_storage:
+                for sid in storage:
                     pcols.append(self._col("pdis", sid, t)); pvals.append(1.0)
                     pcols.append(self._col("pch", sid, t)); pvals.append(-1.0)
-                for lid in b.attached_loads:
+                for lid in loads:
                     pcols.append(self._col("pd", lid, t)); pvals.append(-1.0)
                     qcols.append(self._col("qd", lid, t)); qvals.append(-1.0)
-                for line in self.net.lines:
-                    if line.from_bus == b.id:
-                        sign = -1.0
-                    elif line.to_bus == b.id:
-                        sign = 1.0
-                    else:
-                        continue
-                    pcols.append(self._col("pflow", line.id, t)); pvals.append(sign)
-                    qcols.append(self._col("qflow", line.id, t)); qvals.append(sign)
+                for lid, sign in lines:
+                    pcols.append(self._col("pflow", lid, t)); pvals.append(sign)
+                    qcols.append(self._col("qflow", lid, t)); qvals.append(sign)
                 self._row("nodal_balance", pcols, pvals, "=", 0.0)
                 self._row("nodal_balance", qcols, qvals, "=", 0.0)
 
@@ -713,6 +701,8 @@ class ModelBuilder:
                         (rows, np.asarray(self._cols, dtype=np.int64))),
                        shape=shape).tocsr()
         a.eliminate_zeros()
+        c = np.zeros(shape[1])
+        c[self._obj_cols] = self._obj_vals
         return MilpModel(
             series=dict(self.series),
             lo=np.asarray(self._lo, dtype=np.float64),
@@ -721,11 +711,8 @@ class ModelBuilder:
             row_groups=tuple(self._row_groups),
             row_lo=np.asarray(self._row_lo, dtype=np.float64),
             row_hi=np.asarray(self._row_hi, dtype=np.float64),
-            indptr=a.indptr,
-            cols=a.indices,
-            vals=a.data,
-            objective_cols=np.asarray(self._obj_cols, dtype=np.int64),
-            objective_vals=np.asarray(self._obj_vals, dtype=np.float64),
+            A=a,
+            c=c,
             objective_constant=self._obj_const,
         )
 

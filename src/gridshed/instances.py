@@ -1,8 +1,9 @@
 """Bundled and generated test systems.
 
-``thirteen_bus_network`` and ``thirteen_bus_scenario`` give a 23-bus,
-6-block networked microgrid with six switches and six DER units (one diesel
-genset, two PV inverters, three batteries) plus the substation intertie.
+``thirteen_bus_network`` and ``thirteen_bus_scenario`` give the bundled
+``13bus`` case (23 buses, 6 blocks), a networked microgrid with six
+switches and six DER units (one diesel genset, two PV inverters, three
+batteries) plus the substation intertie.
 Block demands are {2.453, 0.185, 0, 1.013, 0.025, 0.2} MW and block
 vulnerability indices {2, 9, 2, 4, 6, 3}; block 5 hosts emergency
 services.  Per-block wildfire risk drifts linearly across the horizon:

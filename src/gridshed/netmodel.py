@@ -23,9 +23,6 @@ class Bus:
     is_substation: bool = False
     v_min: float = 0.95
     v_max: float = 1.05
-    attached_generators: tuple = ()
-    attached_loads: tuple = ()
-    attached_storage: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -96,12 +93,6 @@ class NetworkModel:
     ders: tuple
     storage: tuple
     loads: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_bus_index", {b.id: b for b in self.buses})
-
-    def bus(self, bus_id: str) -> Bus:
-        return self._bus_index[bus_id]
 
     @property
     def substation(self) -> Bus:
@@ -245,7 +236,7 @@ def _optional(value, where: str):
 
 # Network collection -> (record type, name in messages, (JSON key, field,
 # reader) per field).  A field is required exactly when its dataclass
-# field has no default; the derived Bus.attached_* fields are not read.
+# field has no default.
 NETWORK_RECORDS = {
     "buses": (Bus, "bus", (
         ("id", "id", _text),
@@ -313,10 +304,6 @@ def _compile(cls, where: str, entries: tuple) -> tuple:
 
 _COMPILED = {name: _compile(*spec) for name, spec in NETWORK_RECORDS.items()}
 
-# (collection, Bus field) for the per-bus attachment tuples
-_ATTACHED = (("ders", "attached_generators"), ("loads", "attached_loads"),
-             ("storage", "attached_storage"))
-
 
 def _read_record(raw, where: str, entries: tuple) -> dict:
     """Keyword arguments of one record; omitted keys take the defaults."""
@@ -342,12 +329,6 @@ def parse_network(data: dict) -> NetworkModel:
         if not isinstance(raws, list):
             raise ParseError(f"{name}: expected an array of objects")
         records[name] = [_read_record(raw, where, entries) for raw in raws]
-    for name, attr in _ATTACHED:
-        members: dict = {}
-        for kw in records[name]:
-            members.setdefault(kw["bus"], []).append(kw["id"])
-        for kw in records["buses"]:
-            kw[attr] = tuple(members.get(kw["id"], ()))
 
     net = NetworkModel(**{
         name: tuple(cls(**kw) for kw in records[name])
@@ -501,15 +482,14 @@ def _partition(net: NetworkModel) -> BlockPartition:
 
     block_of_bus = {}
     blocks = []
-    load_by_id = {ld.id: ld for ld in net.loads}
+    demand_at: dict = {}
+    for ld in net.loads:
+        demand_at.setdefault(ld.bus, []).append(ld.p_max)
     for idx, members in enumerate(components):
         for bus_id in members:
             block_of_bus[bus_id] = idx
-        demand = sum(
-            load_by_id[lid].p_max
-            for bus_id in members
-            for lid in net.bus(bus_id).attached_loads
-        )
+        # bus order within the block, then load order
+        demand = sum(p for bus_id in members for p in demand_at.get(bus_id, ()))
         blocks.append(
             LoadBlock(index=idx, buses=frozenset(members), nominal_demand=demand)
         )

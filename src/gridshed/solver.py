@@ -1,17 +1,17 @@
 """LP and MILP solving plus an exhaustive-enumeration oracle.
 
 ``solve_lp`` and ``solve_milp`` are the same HiGHS call (scipy's ``milp``)
-on the model's stored rows and row bounds, the relaxation with no integer
-columns, behind solver-agnostic result types; runs are deterministic for
-identical inputs and options (single-threaded search, no randomized
-components).
+on the model's stored arrays, the relaxation with no integer columns, and
+both return a ``MilpSolution``; runs are deterministic for identical
+inputs and options (single-threaded search, no randomized components).
 
 ``brute_force_solve`` is an independent oracle for small instances: it
 enumerates every assignment of the free binary variables, screens each
-assignment against the rows whose support is purely binary, and solves a
-continuous LP for the survivors.  It never branches, never prunes on LP
-bounds, and shares no search logic with ``solve_milp``, so agreement
-between the two is meaningful evidence of correctness.
+assignment against the rows whose support lies in enumerated or fixed
+columns, and solves a continuous LP for the survivors.  It never
+branches, never prunes on LP bounds, and shares no search logic with
+``solve_milp``, so agreement between the two is meaningful evidence of
+correctness.
 
 Enumeration exception: tree-direction columns (family ``phi``) stay
 continuous during enumeration.  Given integral edge-membership (``zeta``)
@@ -29,20 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import BudgetExceeded, NumericalError
+from .errors import BudgetExceeded, DomainError, NumericalError
 from .formulation import MilpModel
 
 logger = logging.getLogger(__name__)
 
 INTEGRALITY_TOL = 1e-6
 SCREEN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # optimal | infeasible | unbounded
-    objective: float | None
-    values: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -61,6 +54,18 @@ class SolverOptions:
     node_limit: int | None = None
     time_limit: float | None = None
 
+    def __post_init__(self):
+        # HiGHS warns about an invalid limit and then ignores it
+        if not 0 < self.gap_target < 1:
+            raise DomainError(f"gap must be in (0, 1), got {self.gap_target}")
+        if self.time_limit is not None and not (
+                math.isfinite(self.time_limit) and self.time_limit >= 0):
+            raise DomainError("time limit must be finite and non-negative, "
+                              f"got {self.time_limit}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise DomainError(
+                f"node limit must be non-negative, got {self.node_limit}")
+
 
 def _highs(model: MilpModel, integrality: np.ndarray, bounds: Bounds,
            options: dict):
@@ -71,9 +76,9 @@ def _highs(model: MilpModel, integrality: np.ndarray, bounds: Bounds,
     """
     constraints = []
     if model.num_rows:
-        constraints.append(LinearConstraint(model.constraint_matrix(),
-                                            model.row_lo, model.row_hi))
-    res = milp(c=model.objective_vector(), constraints=constraints,
+        constraints.append(LinearConstraint(model.A, model.row_lo,
+                                            model.row_hi))
+    res = milp(c=model.c, constraints=constraints,
                integrality=integrality, bounds=bounds, options=options)
     if res.status == 2 or (res.status == 4 and "infeasible" in (res.message or "").lower()):
         return "infeasible", res
@@ -82,8 +87,9 @@ def _highs(model: MilpModel, integrality: np.ndarray, bounds: Bounds,
     return None, res
 
 
-def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> LpSolution:
-    """Solve the continuous relaxation (all integrality dropped).
+def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> MilpSolution:
+    """Solve the continuous relaxation (all integrality dropped); an
+    optimum has gap 0 and a bound equal to its objective.
 
     ``bounds`` optionally overrides the model's variable bounds with an
     (n, 2) array; used by the enumeration oracle to pin binaries.
@@ -92,12 +98,12 @@ def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> LpSolution:
            else Bounds(bounds[:, 0], bounds[:, 1]))
     status, res = _highs(model, np.zeros(model.num_vars), box, {})
     if status is not None:
-        return LpSolution(status=status, objective=None, values=None)
+        return MilpSolution(status, None, None, 0.0, None)
     if res.status != 0:
         raise NumericalError(f"LP solve failed: {res.message}")
-    return LpSolution(status="optimal",
-                      objective=float(res.fun) + model.objective_constant,
-                      values=np.asarray(res.x))
+    objective = float(res.fun) + model.objective_constant
+    return MilpSolution("optimal", objective, objective, 0.0,
+                        np.asarray(res.x))
 
 
 def _relative_gap(objective: float, bound: float) -> float:
@@ -158,64 +164,46 @@ def _nodes(res) -> int:
     return int(count) if count is not None else 0
 
 
-def _screenable_rows(model: MilpModel, enum_set: set, fixed: np.ndarray):
-    """Rows whose support lies entirely in enumerated or fixed columns,
-    rewritten as A x_enum <= b with fixed contributions folded into b."""
-    rows = []
-    for i in range(model.num_rows):
-        cols, vals, lo, hi = model.row(i)
-        ok = all((c in enum_set) or fixed[c] for c in cols)
-        if not ok:
-            continue
-        pinned = sum(v * model.lo[c] for c, v in zip(cols, vals) if fixed[c])
-        enum_terms = [(c, v) for c, v in zip(cols, vals) if c in enum_set]
-        if math.isfinite(hi):
-            rows.append((enum_terms, hi - pinned))
-        if math.isfinite(lo):
-            rows.append(([(c, -v) for c, v in enum_terms], pinned - lo))
-    return rows
-
-
 def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution:
     """Exact optimum by exhaustive enumeration of free binary columns.
 
-    Every assignment is screened against the purely-binary rows, then the
-    survivors are certified by a continuous LP with the binaries pinned.
+    Every assignment is screened against the rows whose support lies in
+    enumerated or fixed columns, then the survivors are certified by a
+    continuous LP with the binaries pinned.
     When the objective touches only binary columns (always true for the
     scheduling models, whose cost is a function of block status), the
     survivors are visited in ascending objective order and the first
     LP-feasible one is returned; otherwise every survivor is priced.
     """
-    free_bin = model.free_binary_columns()
-    phi = np.zeros(model.num_vars, dtype=bool)
+    fixed = model.lo == model.hi
+    enumerated = model.is_binary & ~fixed
     for (family, _), cols in model.series.items():
         if family == "phi":
-            phi[cols] = True
-    enum_cols = free_bin[~phi[free_bin]]
+            enumerated[cols] = False
+    enum_cols = np.flatnonzero(enumerated)
     n_enum = len(enum_cols)
     if n_enum > binary_budget:
         raise BudgetExceeded(
             f"{n_enum} free binaries exceed the enumeration budget {binary_budget}"
         )
 
-    fixed = model.lo == model.hi
-    enum_set = set(int(c) for c in enum_cols)
-    screen = _screenable_rows(model, enum_set, fixed)
-    col_pos = {int(c): j for j, c in enumerate(enum_cols)}
-    s_mat = np.zeros((len(screen), n_enum))
-    s_rhs = np.empty(len(screen))
-    for i, (terms, base) in enumerate(screen):
-        for c, v in terms:
-            s_mat[i, col_pos[int(c)]] += v
-        s_rhs[i] = base
+    # rows whose support lies in enumerated or fixed columns, as
+    # s_mat x_enum <= s_rhs with the fixed columns folded into the sides
+    continuous = ~(enumerated | fixed)
+    rows = np.flatnonzero(model.A[:, continuous].getnnz(axis=1) == 0)
+    screened = model.A[rows]
+    pinned = screened[:, fixed] @ model.lo[fixed]
+    terms = screened[:, enum_cols].toarray()
+    row_lo, row_hi = model.row_lo[rows], model.row_hi[rows]
+    upper, lower = np.isfinite(row_hi), np.isfinite(row_lo)
+    s_mat = np.vstack([terms[upper], -terms[lower]])
+    s_rhs = np.concatenate([(row_hi - pinned)[upper],
+                            (pinned - row_lo)[lower]])
 
-    c_full = model.objective_vector()
-    c_enum = c_full[enum_cols] if n_enum else np.empty(0)
-    fixed_const = float(c_full[fixed] @ model.lo[fixed]) + model.objective_constant
-    cont_mask = np.ones(model.num_vars, dtype=bool)
-    cont_mask[enum_cols] = False
-    cont_mask &= ~fixed
-    objective_is_binary = not np.any(c_full[cont_mask])
+    c_enum = model.c[enum_cols]
+    fixed_const = (float(model.c[fixed] @ model.lo[fixed])
+                   + model.objective_constant)
+    objective_is_binary = not np.any(model.c[continuous])
 
     total = 1 << n_enum
     chunk = 1 << 16
@@ -225,10 +213,7 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
         ids = np.arange(start, stop, dtype=np.uint64)
         bits = ((ids[:, None] >> np.arange(n_enum, dtype=np.uint64)[None, :]) & 1
                 ).astype(np.float64)
-        if len(screen):
-            ok = np.all(bits @ s_mat.T <= s_rhs + SCREEN_TOL, axis=1)
-        else:
-            ok = np.ones(len(ids), dtype=bool)
+        ok = np.all(bits @ s_mat.T <= s_rhs + SCREEN_TOL, axis=1)
         if ok.any():
             surv_idx.append(ids[ok])
             surv_obj.append(bits[ok] @ c_enum + fixed_const)
@@ -247,9 +232,8 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
         if objective_is_binary and surv_obj[pos] >= best_obj:
             break
         bounds = base_bounds.copy()
-        for j, c in enumerate(enum_cols):
-            v = float((aid >> j) & 1)
-            bounds[c, 0] = bounds[c, 1] = v
+        pins = (aid >> np.arange(n_enum)) & 1
+        bounds[enum_cols, 0] = bounds[enum_cols, 1] = pins
         lp = solve_lp(model, bounds=bounds)
         stats["lp_solves"] += 1
         if lp.status != "optimal":

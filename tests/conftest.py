@@ -6,7 +6,7 @@ from gridshed import instances
 
 @pytest.fixture(scope="session")
 def microgrid_case():
-    """The bundled 23-bus, 6-block networked microgrid with its base scenario."""
+    """The bundled ``13bus`` case (23 buses, 6 blocks) with its base scenario."""
     return instances.load_case(
         instances.thirteen_bus_network(), instances.thirteen_bus_scenario()
     )
@@ -46,5 +46,5 @@ def column_families(model):
 
 def free_semantic_binaries(model):
     """Free binary columns the enumeration oracle actually walks."""
-    families = column_families(model)
-    return [c for c in model.free_binary_columns() if families[c] != "phi"]
+    free = model.is_binary & (model.lo != model.hi)
+    return np.flatnonzero(free & (column_families(model) != "phi"))

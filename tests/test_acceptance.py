@@ -11,12 +11,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from gridshed import (
     SolverOptions,
     brute_force_solve,
     build_model,
-    radiality_check,
     run_horizon,
     solve_milp,
     sweep_beta,
@@ -39,21 +40,34 @@ GAP = 1e-4
 
 def assert_islands_sound(net, part, sched):
     """Every energized component is a tree holding exactly one forming
-    reference, unless it touches the substation."""
+    reference, unless it touches the substation.  The components come from
+    scipy's connected_components over each period's closed lines, a
+    reference kept apart from the checker's own island census."""
+    bus_at = {b.id: i for i, b in enumerate(net.buses)}
+    n_bus = len(bus_at)
     for t in range(sched.horizon):
-        closed = {lid for lid, s in sched.switch_status.items() if s[t] == 1}
-        forming = {did for did, s in sched.grid_forming.items() if s[t] == 1}
-        result = radiality_check(net, closed, forming)
-        for island in result.islands:
-            energized = any(
-                sched.block_status[part.block_of(b), t] == 1
-                for b in island.buses
-            )
-            if not energized:
-                continue
-            assert island.is_tree, (t, sorted(island.buses))
-            if not island.touches_root:
-                assert island.former_count == 1, (t, sorted(island.buses))
+        closed = [l for l in net.lines if sched.switch_status[l.id][t] == 1]
+        ends = np.array([(bus_at[l.from_bus], bus_at[l.to_bus])
+                         for l in closed], dtype=int).reshape(-1, 2)
+        graph = coo_matrix((np.ones(len(closed)), (ends[:, 0], ends[:, 1])),
+                           shape=(n_bus, n_bus))
+        count, label = connected_components(graph, directed=False)
+        members = np.bincount(label, minlength=count)
+        edges = np.bincount(label[ends[:, 0]], minlength=count)
+        formers = np.bincount(
+            [label[bus_at[d.bus]] for d in net.ders
+             if sched.grid_forming[d.id][t] == 1], minlength=count)
+        energized = np.zeros(count, dtype=bool)
+        for b in net.buses:
+            if sched.block_status[part.block_of(b.id), t] == 1:
+                energized[label[bus_at[b.id]]] = True
+        root = label[bus_at[net.substation.id]]
+        for island in np.flatnonzero(energized):
+            buses = sorted(b.id for b in net.buses
+                           if label[bus_at[b.id]] == island)
+            assert edges[island] == members[island] - 1, (t, buses)
+            if island != root:
+                assert formers[island] == 1, (t, buses)
 
 
 def test_criterion_1_microgrid_regime(microgrid_case):

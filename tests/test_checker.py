@@ -15,7 +15,6 @@ from gridshed import (
     compute_load_blocks,
     parse_network,
     parse_scenario,
-    radiality_check,
     run_horizon,
     schedule_from_dict,
     schedule_to_dict,
@@ -128,43 +127,6 @@ class TestEquityCounts:
         assert fams == {"shed_window"}
         z[1] = [1, 0, 0, 1, 1, 0, 0, 1]  # never more than two per window
         assert equity_violations(scen, z) == []
-
-
-class TestRadiality:
-    def net3(self, switchable_third=True):
-        return parse_network({
-            "buses": [{"id": "a", "is_substation": True}, {"id": "b"},
-                      {"id": "c"}],
-            "lines": [
-                {"id": "l1", "from": "a", "to": "b", "switchable": True},
-                {"id": "l2", "from": "b", "to": "c", "switchable": True},
-                {"id": "l3", "from": "a", "to": "c",
-                 "switchable": switchable_third},
-            ],
-            "ders": [{"id": "g", "bus": "c", "p_max": 1.0,
-                      "can_grid_form": True}],
-        })
-
-    def test_closed_triangle_is_not_forest(self):
-        net = self.net3()
-        res = radiality_check(net, {"l1", "l2", "l3"}, set())
-        assert not res.is_forest
-        assert len(res.islands) == 1
-
-    def test_spanning_pair_is_forest(self):
-        net = self.net3()
-        res = radiality_check(net, {"l1", "l2"}, set())
-        assert res.is_forest
-        assert res.islands[0].touches_root
-
-    def test_island_census(self):
-        net = self.net3()
-        res = radiality_check(net, {"l2"}, {"g"})
-        by_root = {min(i.buses): i for i in res.islands}
-        assert by_root["a"].touches_root and by_root["a"].former_count == 0
-        assert not by_root["b"].touches_root
-        assert by_root["b"].former_count == 1
-        assert res.is_forest
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +420,7 @@ CHECK_FAMILY_OF_GROUP = {
 
 
 def test_every_row_group_has_a_check_family():
-    # a 13-bus scenario on which the two modes together emit every group
+    # a ``13bus`` scenario on which the two modes together emit every group
     scen_doc = thirteen_bus_scenario(psi=0.5)
     scen_doc["limits"].update({"lambda": 0.5, "window": 2, "beta": 3.0})
     net, part, scen = load_case(thirteen_bus_network(), scen_doc)

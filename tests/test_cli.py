@@ -274,6 +274,32 @@ def test_bad_gap_rejected(case_files, capsys):
     assert "gap" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--time-limit", "-1"), ("--time-limit", "nan"), ("--node-limit", "-1"),
+])
+def test_bad_solver_limit_rejected(case_files, capsys, flag, value):
+    net, scen, _ = case_files
+    code, out, err = run_cli(capsys, "solve", "--net", net, "--scen", scen,
+                             flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "limit must be" in err
+
+
+@pytest.mark.parametrize("values, token", [
+    ("abc", "'abc'"), ("0.5:x:1", "'x'"), (",", "''"),
+    ("0.5:0.1:inf", "must be finite"), ("nan:0.1:1", "must be finite"),
+    ("0:inf:1", "must be finite"),
+])
+def test_sweep_rejects_bad_values(case_files, capsys, values, token):
+    net, scen, _ = case_files
+    code, out, err = run_cli(capsys, "sweep", "--net", net, "--scen", scen,
+                             "--param", "epsilon", "--values", values)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad ") and token in err
+
+
 def test_sweep_preserves_point_order(case_files, capsys):
     net, scen, _ = case_files
     code, out, _ = run_cli(
@@ -335,7 +361,7 @@ def test_deeply_nested_file_is_input_error(capsys, tmp_path):
 
 
 def test_check_report_order_ignores_hash_seed(tmp_path):
-    """Every block off and every DER forming at t=0 on the 13-bus case:
+    """Every block off and every DER forming at t=0 on the ``13bus`` case:
     the grid_forming records come out in network order, so the report is
     the same under any string hash seed."""
     net_doc, scen_doc = thirteen_bus_network(), thirteen_bus_scenario()

@@ -119,7 +119,8 @@ def test_binary_registry_audit(microgrid_case):
     net, part, scen = microgrid_case
     model = build_model(net, part, scen, "equitable")
     T = scen.horizon
-    free = Counter(column_families(model)[model.free_binary_columns()])
+    free_binary = model.is_binary & (model.lo != model.hi)
+    free = Counter(column_families(model)[free_binary])
     assert free == {
         "z": 5 * T,
         "zsw": 6 * T,
@@ -344,7 +345,7 @@ def test_objective_coefficients(microgrid_case):
         part,
     )
     model = build_model(net, part, scen, "original")
-    c = model.objective_vector()
+    c = model.c
     # shedding the 185 kW block for one period costs 0.185 MW-periods
     assert c[model.series["z", "blk1"][3]] == pytest.approx(-0.185)
     # the zero-demand block never enters the objective
@@ -362,7 +363,7 @@ def test_vulnerability_term_in_equitable_objective(microgrid_case):
     base["limits"]["rho"] = 2.0
     scen = parse_scenario(base, part)
     model = build_model(net, part, scen, "equitable")
-    c = model.objective_vector()
+    c = model.c
     # block 1 demand 0.185 * multiplier 0.85, plus rho * v = 2 * 9
     assert c[model.series["z", "blk1"][0]] == pytest.approx(-(0.185 * 0.85 + 18.0))
 
@@ -386,15 +387,14 @@ def test_mode_equivalence_with_default_limits(seed):
 def test_stored_form_is_deterministic(microgrid_case):
     net, part, scen = microgrid_case
     a, b = (build_model(net, part, scen, "equitable") for _ in range(2))
-    for attr in ("lo", "hi", "is_binary", "row_lo", "row_hi",
-                 "objective_cols", "objective_vals"):
+    for attr in ("lo", "hi", "is_binary", "row_lo", "row_hi", "c"):
         assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
     assert a.row_groups == b.row_groups
     assert a.series == b.series
-    ma, mb = a.constraint_matrix(), b.constraint_matrix()
+    assert a.objective_constant == b.objective_constant
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(ma, attr), getattr(mb, attr)), attr
-    assert len(a.row_groups) == a.num_rows == ma.shape[0]
+        assert np.array_equal(getattr(a.A, attr), getattr(b.A, attr)), attr
+    assert len(a.row_groups) == a.num_rows == a.A.shape[0]
 
 
 def test_repeated_columns_stored_once_with_summed_coefficient():
@@ -404,10 +404,10 @@ def test_repeated_columns_stored_once_with_summed_coefficient():
     builder.register_variables()
     builder._row("power_flow", [3, 1, 3, 2, 2], [1.0, 2.0, 0.5, 4.0, -4.0],
                  "<=", 1.0)
-    cols, vals, lo, hi = builder._finalize().row(0)
-    assert cols.tolist() == [1, 3]
-    assert vals.tolist() == [2.0, 1.5]
-    assert (lo, hi) == (-math.inf, 1.0)
+    model = builder._finalize()
+    assert model.A.indices.tolist() == [1, 3]
+    assert model.A.data.tolist() == [2.0, 1.5]
+    assert (model.row_lo[0], model.row_hi[0]) == (-math.inf, 1.0)
 
 
 def test_relations_stored_as_row_bounds():
@@ -438,8 +438,8 @@ def test_standard_form_has_no_stored_zeros(microgrid_case, mode):
         zinv = [model.series["zinv", d.id][t]
                 for d in net.ders if d.can_grid_form]
         (i,) = np.flatnonzero(support_eq & (a[:, zinv].getnnz(axis=1) > 0))
-        cols, vals, _, _ = model.row(i)
-        coef = dict(zip(cols.tolist(), vals.tolist()))
+        row = a[i]
+        coef = dict(zip(row.indices.tolist(), row.data.tolist()))
         assert model.series["z", f"blk{root}"][t] not in coef
         for k in range(part.n_blocks):
             if k != root:

@@ -34,14 +34,8 @@ def triangle_network():
     switchable line closing the triangle.  Built directly because the
     loader rejects intra-block switches; the builder must still handle
     them (the switch can never close without breaking radiality)."""
-    buses = (
-        Bus(id="a", is_substation=True, v_min=0.9, v_max=1.1,
-            attached_generators=("g",), attached_loads=(), attached_storage=()),
-        Bus(id="b", attached_generators=(), attached_loads=("d",),
-            attached_storage=()),
-        Bus(id="c", attached_generators=(), attached_loads=(),
-            attached_storage=()),
-    )
+    buses = (Bus(id="a", is_substation=True, v_min=0.9, v_max=1.1),
+             Bus(id="b"), Bus(id="c"))
     lines = (
         Line(id="l1", from_bus="a", to_bus="b"),
         Line(id="l2", from_bus="b", to_bus="c"),

@@ -114,9 +114,8 @@ class TestRecordTables:
     @pytest.mark.parametrize("name", list(NETWORK_RECORDS))
     def test_table_covers_every_read_field(self, name):
         cls, _, entries = NETWORK_RECORDS[name]
-        derived = {"attached_generators", "attached_loads", "attached_storage"}
         assert [attr for _, attr, _ in entries] == [
-            f.name for f in dataclasses.fields(cls) if f.name not in derived
+            f.name for f in dataclasses.fields(cls)
         ]
 
     @pytest.mark.parametrize("collection, record_id, key", [

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gridshed import (
     BudgetExceeded,
+    DomainError,
     SolverOptions,
     brute_force_solve,
     build_model,
@@ -26,8 +28,6 @@ def make_model(c, bounds, rows, binary=(), constant=0.0):
             if rows else np.empty(0, dtype=np.int64))
     vals = (np.concatenate([np.asarray(r[1], dtype=float) for r in rows])
             if rows else np.empty(0))
-    cvec = np.asarray(c, dtype=float)
-    nz = np.flatnonzero(cvec)
     return MilpModel(
         series={("x", str(i)): range(i, i + 1) for i in range(n)},
         lo=np.asarray([b[0] for b in bounds], dtype=float),
@@ -38,11 +38,8 @@ def make_model(c, bounds, rows, binary=(), constant=0.0):
                            for _, _, rel, rhs in rows], dtype=float),
         row_hi=np.asarray([math.inf if rel == ">=" else rhs
                            for _, _, rel, rhs in rows], dtype=float),
-        indptr=indptr,
-        cols=cols,
-        vals=vals,
-        objective_cols=nz,
-        objective_vals=cvec[nz],
+        A=csr_matrix((vals, cols, indptr), shape=(len(rows), n)),
+        c=np.asarray(c, dtype=float),
         objective_constant=constant,
     )
 
@@ -97,6 +94,16 @@ class TestSolveMilp:
         sol = solve_milp(model)
         assert sol.objective == pytest.approx(10.5)
         assert sol.best_bound == pytest.approx(10.5)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("gap_target", 0.0), ("gap_target", 1.0), ("gap_target", math.nan),
+    ("time_limit", -1.0), ("time_limit", math.nan), ("time_limit", math.inf),
+    ("node_limit", -1),
+])
+def test_invalid_options_rejected(option, value):
+    with pytest.raises(DomainError, match="must be"):
+        SolverOptions(**{option: value})
 
 
 @pytest.fixture(scope="module")
