@@ -19,8 +19,8 @@ status changes (statuses are rounded and validated first).
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
+from itertools import accumulate, chain
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -83,7 +83,7 @@ SERIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     family: str
     entity: str
@@ -138,93 +138,140 @@ _GATED = (
 )
 
 
+# The fields the checks read from the entities of each collection.
+_FIELDS = {
+    "buses": ("id", "v_min", "v_max"),
+    "lines": ("id", "from_bus", "to_bus", "resistance", "reactance",
+              "switchable", "p_min", "p_max", "q_min", "q_max"),
+    "ders": ("id", "bus", "p_min", "p_max", "q_min", "q_max", "ramp_up",
+             "ramp_down", "can_grid_form"),
+    "loads": ("id", "bus", "p_min", "p_max", "q_min", "q_max"),
+    "storage": ("id", "bus", "e_max", "initial_energy", "eta_charge",
+                "eta_discharge", "p_charge_max", "p_discharge_max"),
+}
+_UNITS = ("ders", "loads", "storage")
+
+# Series that must be zero when their gate is off and within bounds when
+# it is on: (collection, lower bound field, upper bound field).  They are
+# adjacent in SERIES order, so their rows are one block of the stacked
+# series.
+_GATED_BOUNDS = {
+    "pg": ("ders", "p_min", "p_max"),
+    "qg": ("ders", "q_min", "q_max"),
+    "pd": ("loads", "p_min", "p_max"),
+    "qd": ("loads", "q_min", "q_max"),
+    "flow_p": ("lines", "p_min", "p_max"),
+    "flow_q": ("lines", "q_min", "q_max"),
+    "voltage_sq": ("buses", "v_min_sq", "v_max_sq"),
+}
+_GATED_SERIES = tuple(name for name, *_ in SERIES if name in _GATED_BOUNDS)
+_STATUS = np.array([status for *_, status in SERIES])
+
+
+def _read_fields(items, fields) -> dict:
+    """field -> the tuple of its values over ``items``, read in one pass."""
+    columns = tuple(zip(*map(attrgetter(*fields), items)))
+    return dict(zip(fields, columns or ((),) * len(fields)))
+
+
+def _numbers(col: dict, *fields) -> np.ndarray:
+    """(fields, entities, 1): one (entities, 1) column per field."""
+    return np.array([col[f] for f in fields], dtype=float)[:, :, None]
+
+
 class _NetworkArrays:
     """Index, incidence and bound arrays of one network and its partition,
     derived from ``netmodel`` objects alone.  Bounds are (entities, 1)
-    columns, so they broadcast against (entities, periods) series."""
+    columns, so they broadcast against (entities, periods) series.  Each
+    collection is read in one pass."""
 
     def __init__(self, net: NetworkModel, part: BlockPartition):
         self.part = part
-        self.ids = {name: tuple(e.id for e in getattr(net, name))
-                    for name in ("buses", "lines", "ders", "loads", "storage")}
-        self.known = {name: frozenset(ids) for name, ids in self.ids.items()}
+        col = {name: _read_fields(getattr(net, name), fields)
+               for name, fields in _FIELDS.items()}
+        buses, lines = col["buses"], col["lines"]
+        # squares are taken in Python, as the one-entity formulas did
+        buses["v_min_sq"] = tuple(v ** 2 for v in buses["v_min"])
+        buses["v_max_sq"] = tuple(v ** 2 for v in buses["v_max"])
+        self.ids = {name: c["id"] for name, c in col.items()}
         bus_ids = self.ids["buses"]
-        n_bus = len(bus_ids)
-        bus_at = {key: i for i, key in enumerate(bus_ids)}
-        line_at = {key: i for i, key in enumerate(self.ids["lines"])}
+        n_bus, n_line = len(bus_ids), len(lines["id"])
+        bus_at = dict(zip(bus_ids, range(n_bus)))
 
-        def index(keys, lookup):
-            return np.array([lookup[k] for k in keys], dtype=int)
+        self.line_from, self.line_to = np.array(
+            [[bus_at[b] for b in lines["from_bus"]],
+             [bus_at[b] for b in lines["to_bus"]]], dtype=int)
+        bus = {name: np.array([bus_at[b] for b in col[name]["bus"]], dtype=int)
+               for name in _UNITS}
 
-        def table(items, *fields):
-            """One (entities, 1) column per numeric field."""
-            rows = np.array(list(map(attrgetter(*fields), items)), dtype=float)
-            rows = rows.reshape(len(items), len(fields))
-            return tuple(rows[:, i:i + 1] for i in range(len(fields)))
+        # (bus, entity) incidence: -1 where a line leaves a bus, +1 where
+        # it arrives, +1 at the bus of a unit
+        self.line_inc = np.zeros((n_bus, n_line))
+        self.line_inc[self.line_from, np.arange(n_line)] = -1.0
+        self.line_inc[self.line_to, np.arange(n_line)] = 1.0
+        at_bus = np.arange(n_bus)[:, None]
+        self.inc = {name: (at_bus == bus[name]).astype(float)
+                    for name in _UNITS}
+        self.block = {"buses": np.array([part.block_of_bus[b] for b in bus_ids],
+                                        dtype=int)}
+        for name in _UNITS:
+            self.block[name] = self.block["buses"][bus[name]]
 
-        lines, ders, store = net.lines, net.ders, net.storage
-        self.line_from = index((l.from_bus for l in lines), bus_at)
-        self.line_to = index((l.to_bus for l in lines), bus_at)
-        # -1 where a line leaves a bus, +1 where it arrives
-        self.line_inc = np.zeros((n_bus, len(lines)))
-        np.add.at(self.line_inc, (self.line_from, np.arange(len(lines))), -1.0)
-        np.add.at(self.line_inc, (self.line_to, np.arange(len(lines))), 1.0)
-        self.block = {"buses": index(bus_ids, part.block_of_bus)}
-        self.inc = {}
-        for name in ("ders", "loads", "storage"):
-            bus = index((e.bus for e in getattr(net, name)), bus_at)
-            self.block[name] = self.block["buses"][bus]
-            self.inc[name] = np.zeros((n_bus, bus.size))
-            self.inc[name][bus, np.arange(bus.size)] = 1.0
-
-        self.fixed = np.array([not l.switchable for l in lines], dtype=bool)
-        self.switches = index((lid for lid, _, _ in part.block_graph), line_at)
+        line_at = dict(zip(lines["id"], range(n_line)))
+        self.switches = np.array([line_at[lid] for lid, _, _ in part.block_graph],
+                                 dtype=int)
         tie = [(lid, ki, kj) for lid, ki, kj in part.block_graph if ki != kj]
         self.tie_ids = tuple(lid for lid, _, _ in tie)
-        self.tie_rows = index(self.tie_ids, line_at)
-        self.tie_ends = np.array([(ki, kj) for _, ki, kj in tie],
-                                 dtype=int).reshape(-1, 2).T
+        self.tie_rows = np.array([line_at[lid] for lid in self.tie_ids],
+                                 dtype=int)
+        self.tie_ends = np.array([[ki for _, ki, _ in tie],
+                                  [kj for _, _, kj in tie]], dtype=int)
 
-        # (lo, hi) bound columns of every gated series
-        line_cols = table(lines, "resistance", "reactance",
-                          "p_min", "p_max", "q_min", "q_max")
-        self.resistance, self.reactance = line_cols[:2]
-        der_cols = table(ders, "p_min", "p_max", "q_min", "q_max",
-                         "ramp_up", "ramp_down")
-        self.ramp_up, self.ramp_down = der_cols[4:]
-        load_cols = table(net.loads, "p_min", "p_max", "q_min", "q_max")
-        volt = np.array([(b.v_min ** 2, b.v_max ** 2) for b in net.buses],
-                        dtype=float).reshape(n_bus, 2)
-        self.bound = {
-            "voltage_sq": (volt[:, :1], volt[:, 1:]),
-            "pg": der_cols[0:2], "qg": der_cols[2:4],
-            "pd": load_cols[0:2], "qd": load_cols[2:4],
-            "flow_p": line_cols[2:4], "flow_q": line_cols[4:6],
-        }
-        self.can_form = np.array([d.can_grid_form for d in ders], dtype=bool)
+        self.resistance, self.reactance, switchable = _numbers(
+            lines, "resistance", "reactance", "switchable")
+        self.fixed = switchable == 0
+        self.ramp_up, self.ramp_down, can_form = _numbers(
+            col["ders"], "ramp_up", "ramp_down", "can_grid_form")
+        self.can_form = can_form != 0
         (self.e_max, self.e_initial, self.eta_charge, self.eta_discharge,
-         self.charge_max, self.discharge_max) = table(
-            store, "e_max", "initial_energy", "eta_charge", "eta_discharge",
-            "p_charge_max", "p_discharge_max")
+         self.charge_max, self.discharge_max) = _numbers(
+            col["storage"], "e_max", "initial_energy", "eta_charge",
+            "eta_discharge", "p_charge_max", "p_discharge_max")
 
         # The island census works on bus ranks in sorted-id order, so the
         # lowest rank in a component names its island.
-        order = sorted(range(n_bus), key=bus_ids.__getitem__)
-        rank = np.empty(n_bus, dtype=int)
-        rank[order] = np.arange(n_bus)
-        self.sorted_bus_ids = tuple(bus_ids[i] for i in order)
-        self.rank_block = self.block["buses"][order]
-        self.line_ends_rank = (rank[self.line_from], rank[self.line_to])
-        self.der_rank = rank[index((d.bus for d in ders), bus_at)]
-        self.substation_rank = int(rank[bus_at[net.substation.id]])
+        self.sorted_bus_ids = tuple(sorted(bus_ids))
+        rank = dict(zip(self.sorted_bus_ids, range(n_bus)))
+        self.rank_block = np.array(
+            [part.block_of_bus[b] for b in self.sorted_bus_ids], dtype=int)
+        self.line_ends_rank = np.array(
+            [[rank[b] for b in lines["from_bus"]],
+             [rank[b] for b in lines["to_bus"]]], dtype=int)
+        self.der_rank = np.array([rank[b] for b in col["ders"]["bus"]],
+                                 dtype=int)
+        self.substation_rank = rank[net.substation.id]
 
         # row layout of all series stacked into one matrix, in SERIES order
-        self.rows, status_rows = {}, []
-        for name, _, entities, status in SERIES:
-            start = len(status_rows)
-            status_rows += [status] * len(self.ids[entities])
-            self.rows[name] = slice(start, len(status_rows))
-        self.status_rows = np.array(status_rows, dtype=bool)[:, None]
+        counts = [len(self.ids[entities]) for _, _, entities, _ in SERIES]
+        self.rows = {
+            entry[0]: slice(stop - n, stop)
+            for entry, n, stop in zip(SERIES, counts, accumulate(counts))
+        }
+        self.status_rows = np.repeat(_STATUS, counts)[:, None]
+
+        # Per row of the gated block: its bounds and the row of [block
+        # statuses; switch statuses] that gates it.
+        self.gated = slice(self.rows[_GATED_SERIES[0]].start,
+                           self.rows[_GATED_SERIES[-1]].stop)
+        gated = [_GATED_BOUNDS[name] for name in _GATED_SERIES]
+        self.gate_lo, self.gate_hi = np.array(
+            [list(chain.from_iterable(col[e][lo] for e, lo, _ in gated)),
+             list(chain.from_iterable(col[e][hi] for e, _, hi in gated))],
+            dtype=float)[:, :, None]
+        switch_rows = part.n_blocks + np.arange(n_line)
+        self.gate_row = np.concatenate([
+            switch_rows if entities == "lines" else self.block[entities]
+            for entities, *_ in gated])
 
 
 def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
@@ -245,12 +292,12 @@ def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
     root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
-        if np.array_equal(ru, rv):
+        if not np.count_nonzero(ru != rv):
             break
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             up = root[root]
-            if np.array_equal(up, root):
+            if not np.count_nonzero(up != root):
                 break
             root = up
     ders, td = np.nonzero(forming)
@@ -262,9 +309,9 @@ def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
 
 def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
     """Every series family of the schedule as an (entities, T) matrix in
-    network order, keyed by field name: views into one matrix that stacks
-    them all.  Raise DimensionError when the schedule does not match the
-    inputs."""
+    network order, keyed by field name, and the block of gated rows under
+    "gated": views into one matrix that stacks them all.  Raise
+    DimensionError when the schedule does not match the inputs."""
     T = scen.horizon
     n_blocks = a.part.n_blocks
     if sched.horizon != T:
@@ -276,9 +323,52 @@ def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
         )
     if not np.all((sched.block_status == 0) | (sched.block_status == 1)):
         raise DimensionError("status series must be 0/1")
+    values = _loaded_grids(a, sched, T)
+    if values is None:
+        values = _collect_series(a, sched, T)
+    # every comparison with NaN is false, so no later check would fail
+    valid = np.where(a.status_rows, (values == 0) | (values == 1),
+                     np.isfinite(values)).all(axis=1)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        name, status = next((name, status) for name, _, _, status in SERIES
+                            if a.rows[name].stop > row)
+        raise DimensionError("status series must be 0/1" if status
+                             else f"{name}: non-finite value")
+    stacked = {name: values[span] for name, span in a.rows.items()}
+    stacked["block_status"] = sched.block_status
+    stacked["gated"] = values[a.gated]
+    return stacked
+
+
+def _loaded_grids(a: _NetworkArrays, sched: Schedule, T: int):
+    """The series stacked in network order from the family matrices that
+    schedule_from_dict read, when every family still holds exactly the
+    rows it read, in network order, each as long as the horizon; else
+    None."""
+    grids = getattr(sched, "_grids", None)
+    if grids is None:
+        return None
+    parts = []
+    for name, _, entities, _ in SERIES:
+        mapping, (grid, rows) = getattr(sched, name), grids[name]
+        if (tuple(mapping) != a.ids[entities] or len(rows) != len(mapping)
+                or not all(map(is_, mapping.values(), rows))):
+            return None
+        if rows:
+            if grid is None or grid.shape[1] != T:
+                return None
+            parts.append(grid)
+    return np.concatenate(parts).astype(float, copy=False)
+
+
+def _collect_series(a: _NetworkArrays, sched: Schedule, T: int) -> np.ndarray:
+    """The series stacked in network order, row by row.  Raise
+    DimensionError when they do not match the network's ids or the
+    horizon, or are not numbers."""
     series = []
     for name, _, entities, _ in SERIES:
-        mapping, known = getattr(sched, name), a.known[entities]
+        mapping, known = getattr(sched, name), frozenset(a.ids[entities])
         if mapping.keys() != known:
             missing = known - mapping.keys()
             if missing:
@@ -296,19 +386,7 @@ def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
         _raise_shape_fault(a, sched, T)
     if values.dtype.kind not in "biuf":
         raise DimensionError("series values must be numbers")
-    values = values.astype(float, copy=False)
-    # every comparison with NaN is false, so no later check would fail
-    valid = np.where(a.status_rows, (values == 0) | (values == 1),
-                     np.isfinite(values)).all(axis=1)
-    if not valid.all():
-        row = int(np.argmin(valid))
-        name, status = next((name, status) for name, _, _, status in SERIES
-                            if a.rows[name].stop > row)
-        raise DimensionError("status series must be 0/1" if status
-                             else f"{name}: non-finite value")
-    stacked = {name: values[span] for name, span in a.rows.items()}
-    stacked["block_status"] = sched.block_status
-    return stacked
+    return values.astype(float, copy=False)
 
 
 def _raise_shape_fault(a: _NetworkArrays, sched: Schedule, T: int) -> None:
@@ -344,11 +422,50 @@ def _residual(family, value, tol, where=None, suffix=""):
             0.0, True)
 
 
-def _gated(family, x, live, lo, hi) -> tuple:
-    """x must be zero when its gate is off, within [lo, hi] when on."""
-    return (_residual(family, x, RESIDUAL_TOL, ~live),
-            _breach(family, x, hi, RESIDUAL_TOL, live),
-            _breach(family, lo, x, RESIDUAL_TOL, live))
+def _gates(a: _NetworkArrays, s: dict, scen: Scenario):
+    """Every gated series must be zero where its gate is off and within
+    [lo, hi] where it is on.  The checks of all of them at once, as
+    (x, lo, hi, off, above, below) over the block of gated rows and the
+    set of rows that fail one, or None when none fails."""
+    x = s["gated"]
+    live = np.concatenate((s["block_status"] != 0,
+                           s["switch_status"] == 1))[a.gate_row]
+    # demand bounds (the adjacent pd and qd rows) follow the multiplier;
+    # other bounds are scaled by 1
+    scale = np.ones(x.shape)
+    scale[_gated_rows(a, "pd").start:_gated_rows(a, "qd").stop] = (
+        scen.demand_multiplier)
+    lo, hi = a.gate_lo * scale, a.gate_hi * scale
+    off = (np.abs(x) > RESIDUAL_TOL) & ~live
+    above = (x > hi + RESIDUAL_TOL) & live
+    below = (lo > x + RESIDUAL_TOL) & live
+    failed = np.count_nonzero(off | above | below, axis=1)
+    if not np.count_nonzero(failed):
+        return None
+    return (x, lo, hi, off, above, below), set(np.flatnonzero(failed).tolist())
+
+
+def _gated_rows(a: _NetworkArrays, name: str) -> slice:
+    """The rows of gated series ``name`` within the gated block."""
+    rows, first = a.rows[name], a.gated.start
+    return slice(rows.start - first, rows.stop - first)
+
+
+def _gated(family: str, a: _NetworkArrays, s: dict, names) -> list:
+    """The gating checks of those series ``names`` with a failing row."""
+    if s["gates"] is None:
+        return []
+    masks, failed = s["gates"]
+    checks = []
+    for name in names:
+        rows = _gated_rows(a, name)
+        if failed.isdisjoint(range(rows.start, rows.stop)):
+            continue
+        x, lo, hi, off, above, below = (m[rows] for m in masks)
+        checks += [(family, "", off, x, 0.0, True),
+                   (family, "", above, x, hi, False),
+                   (family, "", below, lo, x, False)]
+    return checks
 
 
 def _at(x, e: int, t: int):
@@ -363,8 +480,10 @@ def _emit(out: list, ids, checks, first_period: int = 0) -> None:
     by entity, then period, then check.  A check is (family, entity
     suffix, (entities, periods) mask, lhs, rhs, residual); a residual
     reports |lhs| as its breach, any other check lhs - rhs."""
-    if not any(c[2].any() for c in checks):
+    counts = list(map(np.count_nonzero, (c[2] for c in checks)))
+    if not any(counts):
         return
+    checks = [c for c, n in zip(checks, counts) if n]
     hits = np.nonzero(np.stack([c[2] for c in checks], axis=-1))
     for e, t, c in zip(*(h.tolist() for h in hits)):
         family, suffix, _, lhs, rhs, residual = checks[c]
@@ -379,6 +498,7 @@ def verify_schedule(net: NetworkModel, part: BlockPartition, scen: Scenario,
     """Re-derive every constraint family and report all breaches."""
     a = _NetworkArrays(net, part)
     s = _stack_series(a, scen, sched)
+    s["gates"] = _gates(a, s, scen)
     out: list = []
     _per_period(out, scen, s["block_status"],
                 (s["switch_status"][a.switches] == 0).sum(axis=0))
@@ -437,7 +557,7 @@ def _per_period(out: list, scen: Scenario, z: np.ndarray,
     # over contiguous (T, blocks) rows, the per-period dot products and sums
     # add their terms in the order, and so with the rounding, of the
     # one-period formulas
-    risk = np.ascontiguousarray(np.array(scen.risk, dtype=float).T)
+    risk = np.array(tuple(zip(*scen.risk)), dtype=float)
     on = np.ascontiguousarray(z.T, dtype=float)
     exposure = (risk[:, None, :] @ on[:, :, None]).reshape(1, -1)
     system = ("system",)
@@ -456,7 +576,7 @@ def _switches(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
     closed switch joins blocks of equal status."""
     status = s["switch_status"]
     _emit(out, a.ids["lines"], [_residual("fixed_line", 1.0, LOGIC_TOL,
-                                          (status == 0) & a.fixed[:, None])])
+                                          (status == 0) & a.fixed)])
     z = s["block_status"]
     ki, kj = a.tie_ends
     split = (status[a.tie_rows] == 1) & (z[ki] != z[kj])
@@ -472,10 +592,11 @@ def _islands(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
     der_ids = a.ids["ders"]
     found = []  # (period, stage, index, violation)
     for stage, suffix, mask in (
-        (0, "", forming & ~a.can_form[:, None]),
-        (1, ":dead-block",
-         forming & a.can_form[:, None] & (z[a.block["ders"]] == 0)),
+        (0, "", forming & ~a.can_form),
+        (1, ":dead-block", forming & a.can_form & (z[a.block["ders"]] == 0)),
     ):
+        if not np.count_nonzero(mask):
+            continue
         for d, t in zip(*(h.tolist() for h in np.nonzero(mask))):
             found.append((t, stage, d, Violation(
                 "grid_forming", der_ids[d] + suffix, t, 1.0, 0.0, 1.0)))
@@ -505,17 +626,8 @@ def _islands(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
 
 
 def _gating(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
-    z = s["block_status"]
-    mult = np.array(scen.demand_multiplier, dtype=float)
     for family, names, entities in _GATED:
-        live = z[a.block[entities]] != 0
-        checks = []
-        for name in names:
-            lo, hi = a.bound[name]
-            if entities == "loads":  # demand bounds follow the multiplier
-                lo, hi = lo * mult, hi * mult
-            checks += _gated(family, s[name], live, lo, hi)
-        _emit(out, a.ids[entities], checks)
+        _emit(out, a.ids[entities], _gated(family, a, s, names))
 
 
 def _ramping(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
@@ -536,8 +648,7 @@ def _power_flow(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
     )
     _emit(out, a.ids["lines"],
           [_residual("voltage_drop", drop, RESIDUAL_TOL, live),
-           *_gated("flow_gating", p, live, *a.bound["flow_p"]),
-           *_gated("flow_gating", q, live, *a.bound["flow_q"])])
+           *_gated("flow_gating", a, s, ("flow_p", "flow_q"))])
 
 
 def _balance(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
@@ -605,6 +716,41 @@ def _read_series(values, name: str, status: bool) -> np.ndarray:
     return a if kind == "i" else a.astype(int)
 
 
+def _family_grid(rows: list, status: bool):
+    """The series of one family as the rows of one matrix, from one type
+    scan and one np.array call; None unless they are equally long lists,
+    all of floats or all of integers, and statuses are integral."""
+    flat = (list(chain.from_iterable(rows))
+            if set(map(type, rows)) == {list} else [])
+    # booleans and integers past int64 would pass unseen into numbers
+    kinds = set(map(type, flat))
+    if kinds not in ({float}, {int}) or len(set(map(len, rows))) != 1:
+        return None
+    try:
+        grid = np.array(flat, dtype=kinds.pop()).reshape(len(rows), -1)
+    except OverflowError:
+        return None
+    if grid.dtype.kind == ("i" if status else "f"):
+        return grid
+    if not status:
+        return grid.astype(float)
+    if np.all(np.isfinite(grid) & (grid == np.round(grid))):
+        return grid.astype(int)
+    return None
+
+
+def _read_family(source: dict, name: str, status: bool) -> tuple:
+    """One series family of a document, as (id -> series, the matrix whose
+    rows the series are, or None).  A family that is no such matrix is read
+    series by series, so the first faulty series names the error."""
+    items = source.items()
+    grid = _family_grid([values for _, values in items], status)
+    if grid is not None:
+        return dict(zip(source, grid)), grid
+    return {key: _read_series(values, f"{name}[{key}]", status)
+            for key, values in items}, None
+
+
 def schedule_from_dict(data: dict) -> Schedule:
     """Read a schedule document in the layout schedule_to_dict writes."""
     try:
@@ -613,14 +759,18 @@ def schedule_from_dict(data: dict) -> Schedule:
             raise ParseError(f"horizon: expected an integer, got {horizon!r}")
         block_status = _read_series(data["block_status"], "block_status",
                                     True)
-        series = {}
+        series, grids = {}, {}
         for name, section, _, status in SERIES:
             # top-level series are required, dispatch series may be omitted
             source = (data[name] if section is None
                       else data.get(section, {}).get(name, {}))
-            series[name] = {key: _read_series(values, f"{name}[{key}]", status)
-                            for key, values in source.items()}
-        return Schedule(horizon=horizon, block_status=block_status, **series)
+            series[name], grid = _read_family(source, name, status)
+            grids[name] = (grid, tuple(series[name].values()))
+        sched = Schedule(horizon=horizon, block_status=block_status, **series)
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise ParseError(f"malformed schedule document: {exc}") from exc
+    # the family matrices spare verify_schedule stacking the rows again;
+    # it uses them only while each family holds these very rows
+    object.__setattr__(sched, "_grids", grids)
+    return sched

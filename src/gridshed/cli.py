@@ -28,6 +28,9 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 
+# every value of a sweep is one MILP solve
+_MAX_RANGE_VALUES = 10_000
+
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(
@@ -93,12 +96,16 @@ def _parse_values(spec: str) -> list:
                 f"bad range spec {spec!r}; start, step and stop must be finite")
         if step <= 0:
             raise GridshedError("range step must be positive")
-        values = []
-        v = start
-        while v <= stop + 1e-12:
-            values.append(round(v, 12))
-            v += step
-        return values
+        if start + step == start:
+            raise GridshedError(
+                f"bad range spec {spec!r}; step {step!r} does not advance "
+                f"start {start!r}")
+        count = max(0, math.floor((stop - start) / step + 1e-12) + 1)
+        if count > _MAX_RANGE_VALUES:
+            raise GridshedError(
+                f"bad range spec {spec!r} gives {count} values; at most "
+                f"{_MAX_RANGE_VALUES} are allowed")
+        return [round(start + i * step, 12) for i in range(count)]
     return [_number(tok, spec) for tok in spec.split(",")]
 
 

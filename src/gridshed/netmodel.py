@@ -11,13 +11,14 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import starmap
 
 from .errors import DimensionError, ParseError, RangeError, ValidationError
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bus:
     id: str
     is_substation: bool = False
@@ -25,7 +26,7 @@ class Bus:
     v_max: float = 1.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     id: str
     from_bus: str
@@ -39,7 +40,7 @@ class Line:
     switchable: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Der:
     """Dispatchable or fixed-output generation unit.
 
@@ -60,7 +61,7 @@ class Der:
     dispatchable: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Storage:
     id: str
     bus: str
@@ -76,7 +77,7 @@ class Storage:
         return 0.5 * self.e_max if self.e_initial is None else self.e_initial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadPoint:
     id: str
     bus: str
@@ -99,7 +100,7 @@ class NetworkModel:
         return next(b for b in self.buses if b.is_substation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadBlock:
     """One energization unit: a maximal switch-free connected component."""
 
@@ -289,15 +290,22 @@ NETWORK_RECORDS = {
 }
 
 
+# The type a reader returns unchanged.  A value already of that type (and
+# finite, for numbers) is stored without calling the reader.
+_RETURNS_UNCHANGED = {_numeric: float, _unlimited: float, _optional: float,
+                      _text: str, _flag: bool}
+
+
 def _compile(cls, where: str, entries: tuple) -> tuple:
-    """(record type, where, (key, field, reader, message path, required)
-    per field), worked out once so parsing touches no dataclass metadata."""
-    has_default = {
-        f.name for f in fields(cls)
-        if f.default is not MISSING or f.default_factory is not MISSING
+    """(record type, where, (key, reader, type it keeps, message path,
+    default or MISSING) per field), worked out once so parsing touches no
+    dataclass metadata."""
+    default = {
+        f.name: f.default for f in fields(cls) if f.default is not MISSING
     }
     return cls, where, tuple(
-        (key, attr, read, f"{where}.{key}", attr not in has_default)
+        (key, read, _RETURNS_UNCHANGED[read], f"{where}.{key}",
+         default.get(attr, MISSING))
         for key, attr, read in entries
     )
 
@@ -305,17 +313,23 @@ def _compile(cls, where: str, entries: tuple) -> tuple:
 _COMPILED = {name: _compile(*spec) for name, spec in NETWORK_RECORDS.items()}
 
 
-def _read_record(raw, where: str, entries: tuple) -> dict:
-    """Keyword arguments of one record; omitted keys take the defaults."""
+def _read_record(raw, where: str, entries: tuple) -> list:
+    """Field values of one record, in field order; omitted keys take the
+    defaults."""
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object, got {raw!r}")
-    kwargs = {}
-    for key, attr, read, path, required in entries:
-        if key in raw:
-            kwargs[attr] = read(raw[key], path)
-        elif required:
-            raise ParseError(f"{where}: missing required key '{key}'")
-    return kwargs
+    values = []
+    for key, read, kept, path, default in entries:
+        value = raw.get(key, MISSING)
+        if value is MISSING:
+            if default is MISSING:
+                raise ParseError(f"{where}: missing required key '{key}'")
+            value = default
+        elif type(value) is not kept or (kept is float
+                                         and not -INF < value < INF):
+            value = read(value, path)
+        values.append(value)
+    return values
 
 
 def parse_network(data: dict) -> NetworkModel:
@@ -331,7 +345,7 @@ def parse_network(data: dict) -> NetworkModel:
         records[name] = [_read_record(raw, where, entries) for raw in raws]
 
     net = NetworkModel(**{
-        name: tuple(cls(**kw) for kw in records[name])
+        name: tuple(starmap(cls, records[name]))
         for name, (cls, _, _) in _COMPILED.items()
     })
     validate_network(net)
@@ -410,15 +424,17 @@ def validate_network(net: NetworkModel) -> None:
 
     # The model spans every bus with one tree that holds every fixed line:
     # a loop of fixed lines, or a bus that no line path joins to the
-    # substation, leaves it with no schedule at all.
-    uf = UnionFind(ids)
+    # substation, leaves it with no schedule at all.  The components of the
+    # fixed lines are the load blocks; the switchable lines then join them.
+    uf, loop = _join_fixed_lines(net)
+    if loop is not None:
+        raise ValidationError(
+            f"line {loop.id}: closes a loop of non-switchable lines"
+        )
+    part = _partition(net, uf)
     for l in net.lines:
-        if not l.switchable and not uf.union(l.from_bus, l.to_bus):
-            raise ValidationError(
-                f"line {l.id}: closes a loop of non-switchable lines"
-            )
-    for l in net.lines:
-        uf.union(l.from_bus, l.to_bus)
+        if l.switchable:
+            uf.union(l.from_bus, l.to_bus)
     root = uf.find(substations[0])
     for b in net.buses:
         if uf.find(b.id) != root:
@@ -426,13 +442,13 @@ def validate_network(net: NetworkModel) -> None:
 
     # Switchable lines must join distinct blocks; loops inside one block
     # have no block-level switching semantics and are rejected outright.
-    part = compute_load_blocks(net)
     for line_id, ki, kj in part.block_graph:
         if ki == kj:
             raise ValidationError(
                 f"switchable line {line_id} connects two buses of the same "
                 f"load block (intra-block loop)"
             )
+    object.__setattr__(net, "_partition", part)
 
 
 def read_json(path, what: str):
@@ -468,16 +484,26 @@ def compute_load_blocks(net: NetworkModel) -> BlockPartition:
     """
     part = getattr(net, "_partition", None)
     if part is None:
-        part = _partition(net)
+        part = _partition(net, _join_fixed_lines(net)[0])
         object.__setattr__(net, "_partition", part)
     return part
 
 
-def _partition(net: NetworkModel) -> BlockPartition:
+def _join_fixed_lines(net: NetworkModel) -> tuple:
+    """A union-find of the buses in which every fixed line is joined, and
+    the first fixed line that closes a loop, or None."""
     uf = UnionFind([b.id for b in net.buses])
+    loop = None
     for l in net.lines:
-        if not l.switchable:
-            uf.union(l.from_bus, l.to_bus)
+        if (not l.switchable and not uf.union(l.from_bus, l.to_bus)
+                and loop is None):
+            loop = l
+    return uf, loop
+
+
+def _partition(net: NetworkModel, uf: UnionFind) -> BlockPartition:
+    """The load blocks of ``net``, given a union-find of its buses in which
+    exactly the fixed lines are joined."""
     components = sorted(uf.groups().values(), key=lambda grp: min(grp))
 
     block_of_bus = {}
@@ -490,9 +516,7 @@ def _partition(net: NetworkModel) -> BlockPartition:
             block_of_bus[bus_id] = idx
         # bus order within the block, then load order
         demand = sum(p for bus_id in members for p in demand_at.get(bus_id, ()))
-        blocks.append(
-            LoadBlock(index=idx, buses=frozenset(members), nominal_demand=demand)
-        )
+        blocks.append(LoadBlock(idx, frozenset(members), demand))
 
     graph = tuple(
         (l.id, block_of_bus[l.from_bus], block_of_bus[l.to_bus])
@@ -511,6 +535,8 @@ def _as_series(value, length: int, name: str) -> tuple:
             raise DimensionError(
                 f"{name}: expected length {length}, got {len(value)}"
             )
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            return tuple(value)
         return tuple(_numeric(v, name) for v in value)
     raise ParseError(f"{name}: expected number or array")
 
@@ -568,7 +594,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
         )
     risk = tuple(_as_series(row, horizon, f"risk[{k}]") for k, row in enumerate(raw_risk))
     for k, row in enumerate(risk):
-        if any(r < 0 for r in row):
+        if min(row) < 0:
             raise RangeError(f"risk[{k}]: negative risk value")
 
     vulnerability = _as_series(
@@ -610,7 +636,7 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
     if any(not 0 <= p <= 1 for p in psi):
         raise RangeError("psi entries must lie in [0, 1]")
     beta = _beta_matrix(limits.get("beta"), n_blocks)
-    if any(b < 0 for row in beta for b in row):
+    if min(map(min, beta)) < 0:
         raise RangeError("beta entries must be non-negative")
 
     emergency_raw = data.get("emergency_blocks", [])

@@ -351,6 +351,23 @@ class TestScheduleDocument:
             verify_schedule(net, part, scen, schedule_from_dict(doc),
                             "equitable")
 
+    def test_series_changed_after_loading_are_verified(self, solved):
+        # a loaded schedule keeps its family matrices; a replaced series
+        # and a series edited in place must both reach the checker
+        net, part, scen, sched = solved
+        doc = schedule_to_dict(sched)
+        loaded = schedule_from_dict(doc)
+        line, unit = next(iter(loaded.flow_p)), next(iter(loaded.pg))
+        loaded.flow_p[line] = loaded.flow_p[line] + 0.3
+        loaded.pg[unit][2] += 0.2
+        doc["dispatch"]["flow_p"][line] = [
+            x + 0.3 for x in doc["dispatch"]["flow_p"][line]]
+        doc["dispatch"]["pg"][unit][2] += 0.2
+        report = verify_schedule(net, part, scen, loaded, "equitable")
+        assert not report.passed
+        assert report.to_dict() == verify_schedule(
+            net, part, scen, schedule_from_dict(doc), "equitable").to_dict()
+
     def test_series_table_matches_schedule_fields(self):
         assert ["horizon", "block_status"] + [s[0] for s in SERIES] == [
             f.name for f in dataclasses.fields(Schedule)

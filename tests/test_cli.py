@@ -12,7 +12,7 @@ import pytest
 
 import gridshed
 from gridshed.checker import SERIES, Schedule, schedule_to_dict
-from gridshed.cli import main
+from gridshed.cli import _parse_values, main
 from gridshed.instances import (
     load_case,
     small_network,
@@ -289,7 +289,8 @@ def test_bad_solver_limit_rejected(case_files, capsys, flag, value):
 @pytest.mark.parametrize("values, token", [
     ("abc", "'abc'"), ("0.5:x:1", "'x'"), (",", "''"),
     ("0.5:0.1:inf", "must be finite"), ("nan:0.1:1", "must be finite"),
-    ("0:inf:1", "must be finite"),
+    ("0:inf:1", "must be finite"), ("1:1e-20:2", "does not advance"),
+    ("0:1e-9:1", "at most 10000"),
 ])
 def test_sweep_rejects_bad_values(case_files, capsys, values, token):
     net, scen, _ = case_files
@@ -298,6 +299,24 @@ def test_sweep_rejects_bad_values(case_files, capsys, values, token):
     assert code == 1
     assert out == ""
     assert err.startswith("error: bad ") and token in err
+
+
+def _stepped_values(start, step, stop):
+    """The range as built by stepping from start until past stop, the
+    reference for specs whose step advances."""
+    values, v = [], start
+    while v <= stop + 1e-12:
+        values.append(round(v, 12))
+        v += step
+    return values
+
+
+@pytest.mark.parametrize("spec", [
+    "0.7:0.05:0.95", "0:0.1:1", "0.5:0.01:0.79", "0.6:0.2:1.0", "1:0.3:2",
+    "0.25:0.025:0.5", "-1:0.07:1", "2:1:1", "0.1:0.1:0.1",
+])
+def test_range_spec_matches_stepping(spec):
+    assert _parse_values(spec) == _stepped_values(*map(float, spec.split(":")))
 
 
 def test_sweep_preserves_point_order(case_files, capsys):

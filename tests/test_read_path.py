@@ -133,18 +133,19 @@ def mutated(draw, doc):
         for key in path[:-1]:
             parent = parent[key]
         kind = draw(st.sampled_from(["swap", "drop", "add", "ragged"]))
+        # copies: a drawn list or object may be edited by a later step
         if kind == "swap":
-            parent[path[-1]] = draw(HOSTILE)
+            parent[path[-1]] = copy.deepcopy(draw(HOSTILE))
         elif kind == "drop":
             del parent[path[-1]]
         elif kind == "add" and isinstance(value, dict):
             value[draw(st.sampled_from(["id", "x", "zz", "pg", "l01"]))] = \
-                draw(HOSTILE)
+                copy.deepcopy(draw(HOSTILE))
         elif kind == "ragged" and isinstance(value, list) and value:
             if draw(st.booleans()):
                 value.pop()
             else:
-                value.append(draw(HOSTILE))
+                value.append(copy.deepcopy(draw(HOSTILE)))
     return doc
 
 
