@@ -20,7 +20,7 @@ status changes (statuses are rounded and validated first).
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import attrgetter, is_
+from operator import attrgetter
 
 import numpy as np
 
@@ -194,6 +194,7 @@ class _NetworkArrays:
         buses["v_min_sq"] = tuple(v ** 2 for v in buses["v_min"])
         buses["v_max_sq"] = tuple(v ** 2 for v in buses["v_max"])
         self.ids = {name: c["id"] for name, c in col.items()}
+        self.known = {name: frozenset(ids) for name, ids in self.ids.items()}
         bus_ids = self.ids["buses"]
         n_bus, n_line = len(bus_ids), len(lines["id"])
         bus_at = dict(zip(bus_ids, range(n_bus)))
@@ -323,9 +324,7 @@ def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
         )
     if not np.all((sched.block_status == 0) | (sched.block_status == 1)):
         raise DimensionError("status series must be 0/1")
-    values = _loaded_grids(a, sched, T)
-    if values is None:
-        values = _collect_series(a, sched, T)
+    values = _collect_series(a, sched, T)
     # every comparison with NaN is false, so no later check would fail
     valid = np.where(a.status_rows, (values == 0) | (values == 1),
                      np.isfinite(values)).all(axis=1)
@@ -341,34 +340,13 @@ def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
     return stacked
 
 
-def _loaded_grids(a: _NetworkArrays, sched: Schedule, T: int):
-    """The series stacked in network order from the family matrices that
-    schedule_from_dict read, when every family still holds exactly the
-    rows it read, in network order, each as long as the horizon; else
-    None."""
-    grids = getattr(sched, "_grids", None)
-    if grids is None:
-        return None
-    parts = []
-    for name, _, entities, _ in SERIES:
-        mapping, (grid, rows) = getattr(sched, name), grids[name]
-        if (tuple(mapping) != a.ids[entities] or len(rows) != len(mapping)
-                or not all(map(is_, mapping.values(), rows))):
-            return None
-        if rows:
-            if grid is None or grid.shape[1] != T:
-                return None
-            parts.append(grid)
-    return np.concatenate(parts).astype(float, copy=False)
-
-
 def _collect_series(a: _NetworkArrays, sched: Schedule, T: int) -> np.ndarray:
     """The series stacked in network order, row by row.  Raise
     DimensionError when they do not match the network's ids or the
     horizon, or are not numbers."""
     series = []
     for name, _, entities, _ in SERIES:
-        mapping, known = getattr(sched, name), frozenset(a.ids[entities])
+        mapping, known = getattr(sched, name), a.known[entities]
         if mapping.keys() != known:
             missing = known - mapping.keys()
             if missing:
@@ -711,44 +689,25 @@ def _read_series(values, name: str, status: bool) -> np.ndarray:
         raise ParseError(f"{name}: {what}")
     if not status:
         return a.astype(float, copy=False)
-    if kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+    # integral floats past int64 would wrap in the cast below
+    if kind == "f" and not np.all((a == np.round(a)) & (np.abs(a) < 2**63)):
         raise ParseError(f"{name}: status values must be integers")
     return a if kind == "i" else a.astype(int)
 
 
-def _family_grid(rows: list, status: bool):
-    """The series of one family as the rows of one matrix, from one type
-    scan and one np.array call; None unless they are equally long lists,
-    all of floats or all of integers, and statuses are integral."""
-    flat = (list(chain.from_iterable(rows))
-            if set(map(type, rows)) == {list} else [])
-    # booleans and integers past int64 would pass unseen into numbers
-    kinds = set(map(type, flat))
-    if kinds not in ({float}, {int}) or len(set(map(len, rows))) != 1:
-        return None
-    try:
-        grid = np.array(flat, dtype=kinds.pop()).reshape(len(rows), -1)
-    except OverflowError:
-        return None
-    if grid.dtype.kind == ("i" if status else "f"):
-        return grid
-    if not status:
-        return grid.astype(float)
-    if np.all(np.isfinite(grid) & (grid == np.round(grid))):
-        return grid.astype(int)
-    return None
-
-
-def _read_family(source: dict, name: str, status: bool) -> tuple:
-    """One series family of a document, as (id -> series, the matrix whose
-    rows the series are, or None).  A family that is no such matrix is read
+def _read_family(source: dict, name: str, status: bool) -> dict:
+    """One series family of a document as id -> series.  A family that
+    reads as one matrix keeps its rows as the series; any other is read
     series by series, so the first faulty series names the error."""
     items = source.items()
-    grid = _family_grid([values for _, values in items], status)
-    if grid is not None:
-        return dict(zip(source, grid)), grid
+    try:
+        grid = _read_series([values for _, values in items], name, status)
+    except (ParseError, ValueError):
+        grid = None
+    if grid is not None and grid.ndim == 2:
+        return dict(zip(source, grid))
     return {key: _read_series(values, f"{name}[{key}]", status)
-            for key, values in items}, None
+            for key, values in items}
 
 
 def schedule_from_dict(data: dict) -> Schedule:
@@ -759,18 +718,13 @@ def schedule_from_dict(data: dict) -> Schedule:
             raise ParseError(f"horizon: expected an integer, got {horizon!r}")
         block_status = _read_series(data["block_status"], "block_status",
                                     True)
-        series, grids = {}, {}
+        series = {}
         for name, section, _, status in SERIES:
             # top-level series are required, dispatch series may be omitted
             source = (data[name] if section is None
                       else data.get(section, {}).get(name, {}))
-            series[name], grid = _read_family(source, name, status)
-            grids[name] = (grid, tuple(series[name].values()))
-        sched = Schedule(horizon=horizon, block_status=block_status, **series)
+            series[name] = _read_family(source, name, status)
+        return Schedule(horizon=horizon, block_status=block_status, **series)
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise ParseError(f"malformed schedule document: {exc}") from exc
-    # the family matrices spare verify_schedule stacking the rows again;
-    # it uses them only while each family holds these very rows
-    object.__setattr__(sched, "_grids", grids)
-    return sched

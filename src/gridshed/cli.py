@@ -100,7 +100,11 @@ def _parse_values(spec: str) -> list:
             raise GridshedError(
                 f"bad range spec {spec!r}; step {step!r} does not advance "
                 f"start {start!r}")
-        count = max(0, math.floor((stop - start) / step + 1e-12) + 1)
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise GridshedError(
+                f"bad range spec {spec!r}; (stop - start)/step is not finite")
+        count = max(0, math.floor(span + 1e-12) + 1)
         if count > _MAX_RANGE_VALUES:
             raise GridshedError(
                 f"bad range spec {spec!r} gives {count} values; at most "

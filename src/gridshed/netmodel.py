@@ -16,6 +16,9 @@ from itertools import starmap
 from .errors import DimensionError, ParseError, RangeError, ValidationError
 
 INF = math.inf
+# A scenario's scalar series are expanded to one value per period, so the
+# horizon bounds their memory; bundled cases span at most 12 periods.
+_MAX_HORIZON = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,16 +206,15 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _count(value, name: str, low: int = 0) -> int:
-    """A JSON integer count of at least ``low``.  Counts past the largest
-    sequence length cannot size a series and overflow every float
+def _count(value, name: str, low: int = 0, high: int = sys.maxsize) -> int:
+    """A JSON integer count from ``low`` to ``high``.  Counts past the
+    largest sequence length cannot size a series and overflow every float
     comparison and row bound they reach (10**400 does)."""
     kind = "positive" if low else "non-negative"
     if not _is_count(value) or value < low:
         raise RangeError(f"{name} must be a {kind} integer")
-    if value > sys.maxsize:
-        raise RangeError(f"{name} must be a {kind} integer of at most "
-                         f"{sys.maxsize}")
+    if value > high:
+        raise RangeError(f"{name} must be a {kind} integer of at most {high}")
     return value
 
 
@@ -581,7 +583,8 @@ def parse_scenario(data: dict, partition: BlockPartition) -> Scenario:
         raise ParseError("scenario document must be a JSON object")
     n_blocks = partition.n_blocks
 
-    horizon = _count(_require(data, "horizon", "scenario"), "horizon", low=1)
+    horizon = _count(_require(data, "horizon", "scenario"), "horizon", low=1,
+                     high=_MAX_HORIZON)
     period_hours = _numeric(data.get("period_hours", 1.0), "period_hours")
     if period_hours <= 0:
         raise RangeError("period_hours must be positive")

@@ -301,6 +301,8 @@ class TestScheduleDocument:
 
     @pytest.mark.parametrize("section, value", [
         ("block_status", 1.5), ("switch_status", 1.9),
+        # integral, but past int64
+        ("block_status", 1e300), ("switch_status", 1e308),
     ])
     def test_fractional_status_rejected(self, solved, section, value):
         doc = schedule_to_dict(solved[3])
@@ -352,8 +354,9 @@ class TestScheduleDocument:
                             "equitable")
 
     def test_series_changed_after_loading_are_verified(self, solved):
-        # a loaded schedule keeps its family matrices; a replaced series
-        # and a series edited in place must both reach the checker
+        # a loaded schedule's series are rows of its family matrices; a
+        # replaced series and a series edited in place must both reach the
+        # checker
         net, part, scen, sched = solved
         doc = schedule_to_dict(sched)
         loaded = schedule_from_dict(doc)
@@ -367,6 +370,11 @@ class TestScheduleDocument:
         assert not report.passed
         assert report.to_dict() == verify_schedule(
             net, part, scen, schedule_from_dict(doc), "equitable").to_dict()
+
+    def test_loaded_schedule_holds_only_its_fields(self, solved):
+        loaded = schedule_from_dict(schedule_to_dict(solved[3]))
+        assert list(vars(loaded)) == [
+            f.name for f in dataclasses.fields(Schedule)]
 
     def test_series_table_matches_schedule_fields(self):
         assert ["horizon", "block_status"] + [s[0] for s in SERIES] == [

@@ -290,12 +290,14 @@ def test_bad_solver_limit_rejected(case_files, capsys, flag, value):
     ("abc", "'abc'"), ("0.5:x:1", "'x'"), (",", "''"),
     ("0.5:0.1:inf", "must be finite"), ("nan:0.1:1", "must be finite"),
     ("0:inf:1", "must be finite"), ("1:1e-20:2", "does not advance"),
-    ("0:1e-9:1", "at most 10000"),
+    ("0:1e-9:1", "at most 10000"), ("-1e308:1e308:1e308", "not finite"),
+    ("0:1e-320:1", "not finite"),
 ])
 def test_sweep_rejects_bad_values(case_files, capsys, values, token):
     net, scen, _ = case_files
+    # one argument, so argparse takes a leading "-" for part of the value
     code, out, err = run_cli(capsys, "sweep", "--net", net, "--scen", scen,
-                             "--param", "epsilon", "--values", values)
+                             "--param", "epsilon", f"--values={values}")
     assert code == 1
     assert out == ""
     assert err.startswith("error: bad ") and token in err

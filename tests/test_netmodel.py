@@ -372,17 +372,20 @@ class TestScenario:
             parse_scenario(doc, part)
 
     # json.load reads 10**400 as an int no float or sequence length holds;
-    # 2**64 fits a float but not a sequence length
+    # 2**64 fits a float but not a sequence length; the scalar risk rows
+    # would be expanded to one value per period
     @pytest.mark.parametrize("field, value", [
         pytest.param("horizon", 10**400, id="horizon-1e400"),
         pytest.param("horizon", 2**64, id="horizon-2**64"),
+        pytest.param("horizon", 2**62, id="horizon-2**62"),
+        pytest.param("horizon", 10**15, id="horizon-1e15"),
         pytest.param("window", 10**400, id="window-1e400"),
         pytest.param("m", 10**400, id="m-1e400"),
         pytest.param("k_bl_max", 10**400, id="k_bl_max-1e400"),
         pytest.param("k_sw_max", 10**400, id="k_sw_max-1e400"),
     ])
     def test_oversized_counts_rejected(self, part, field, value):
-        doc = {"horizon": 2, "risk": [[1.0] * 2] * 6, "limits": {}}
+        doc = {"horizon": 2, "risk": [0.1] * 6, "limits": {}}
         if field == "horizon":
             doc[field] = value
         else:

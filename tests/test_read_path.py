@@ -8,9 +8,11 @@ the read path was rewritten to load whole families at once.  A schedule is
 verified against the ``13bus`` case in ``equitable`` mode; its base is the
 recorded ``equitable`` schedule of ``data/checker_golden.json``.
 
-The property tests mutate the same valid documents at random: every
-outcome is either success or a ``GridshedError``, and ``gridshed check``
-ends in exit 0, 1 or 2 without a traceback.
+The property tests mutate the same valid documents, and the ``13bus``
+scenario, at random: every outcome is either success or a
+``GridshedError``, and ``gridshed check`` ends in exit 0, 1 or 2 without
+a traceback.  Drawn ``sweep --values`` specs give a list of values or a
+``GridshedError``.  A float cast that wraps past int64 fails any test.
 """
 
 import copy
@@ -26,17 +28,23 @@ from gridshed import (
     GridshedError,
     instances,
     parse_network,
+    parse_scenario,
     schedule_from_dict,
     verify_schedule,
 )
-from gridshed.cli import main
+from gridshed.cli import _parse_values, main
+
+# huge finite dispatch values may overflow elsewhere; only a cast is an error
+pytestmark = pytest.mark.filterwarnings(
+    "error:invalid value encountered in cast:RuntimeWarning")
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 TABLE = json.loads((DATA_DIR / "read_path_errors.json").read_text())
 SCHEDULE = json.loads((DATA_DIR / "checker_golden.json").read_text())[
     "cases"]["13bus"]["schedules"]["equitable"]
 NETWORK = instances.thirteen_bus_network()
-CASE = instances.load_case(NETWORK, instances.thirteen_bus_scenario())
+SCENARIO = instances.thirteen_bus_scenario()
+CASE = instances.load_case(NETWORK, SCENARIO)
 
 
 def apply_edits(doc, edits):
@@ -101,7 +109,9 @@ def test_unedited_documents_read_cleanly():
     assert outcome("schedule", SCHEDULE) is None
 
 
-# Values that no field of either document accepts everywhere.
+# Values that no field of any document accepts everywhere.  No mid-size
+# integers: they are valid counts, and a horizon near its 10,000-period
+# cap would make every drawn scenario slow to parse.
 HOSTILE = st.sampled_from([
     None, True, False, "", "1", "inf", math.nan, math.inf, -math.inf, 1.5,
     -1, 0, 10**400, -(10**400), [], [1], [[0]], {}, {"a": 1}, 1e308,
@@ -165,6 +175,37 @@ def test_mutated_schedule_verifies_or_raises_package_error(doc):
     outcome("schedule", doc)
 
 
+@PROPERTY
+@given(mutated(SCENARIO))
+def test_mutated_scenario_parses_or_raises_package_error(doc):
+    try:
+        parse_scenario(doc, CASE[1])
+    except GridshedError:
+        pass
+
+
+# --values tokens: numbers of every size, non-finite ones and non-numbers
+TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e-320", "-1e308", "1e308", "",
+                     " ", "x", "1e400"]),
+    st.text(max_size=4),
+)
+
+
+@PROPERTY
+@given(st.one_of(st.tuples(TOKENS, TOKENS, TOKENS).map(":".join),
+                 st.lists(TOKENS, min_size=1, max_size=4).map(",".join)))
+def test_values_spec_gives_list_or_raises_package_error(spec):
+    try:
+        values = _parse_values(spec)
+    except GridshedError:
+        return
+    assert isinstance(values, list)
+    assert all(isinstance(v, float) for v in values)
+
+
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
@@ -174,8 +215,7 @@ def test_check_command_exits_cleanly_on_mutated_input(tmp_path, capsys,
     net_doc = data.draw(mutated(NETWORK)) if network else NETWORK
     sched_doc = SCHEDULE if network else data.draw(mutated(SCHEDULE))
     paths = []
-    for name, doc in (("net", net_doc), ("scen", instances.thirteen_bus_scenario()),
-                      ("sched", sched_doc)):
+    for name, doc in (("net", net_doc), ("scen", SCENARIO), ("sched", sched_doc)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths.append(str(path))
