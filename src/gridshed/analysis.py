@@ -20,7 +20,7 @@ import numpy as np
 from . import checker as chk
 from .errors import DomainError, GridshedError, InfeasibleError, SolverLimitError
 from .formulation import MilpModel, build_model
-from .netmodel import (BlockPartition, NetworkModel, Scenario,
+from .netmodel import (BlockPartition, NetworkModel, Scenario, _check_mode,
                        compute_load_blocks, uniform_beta)
 from .solver import INTEGRALITY_TOL, MilpSolution, SolverOptions, solve_lp, solve_milp
 
@@ -168,6 +168,7 @@ def compute_metrics(part: BlockPartition, scen: Scenario,
 def schedule_objective(part: BlockPartition, scen: Scenario,
                        sched: chk.Schedule, mode: str = "equitable") -> float:
     """Recompute the scheduling cost of a schedule from raw inputs."""
+    _check_mode(mode)
     rho = scen.rho if mode == "equitable" else 0.0
     total = 0.0
     for blk in part.blocks:

@@ -25,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .netmodel import BlockPartition, NetworkModel, Scenario
+from .netmodel import BlockPartition, NetworkModel, Scenario, _check_mode
 
 RESIDUAL_TOL = 1e-6
 LOGIC_TOL = 1e-9
@@ -218,15 +218,14 @@ class _NetworkArrays:
         for name in _UNITS:
             self.block[name] = self.block["buses"][bus[name]]
 
+        # the switch lines' ids, rows, and blocks at either end
         line_at = dict(zip(lines["id"], range(n_line)))
-        self.switches = np.array([line_at[lid] for lid, _, _ in part.block_graph],
+        self.switch_ids = tuple(lid for lid, _, _ in part.block_graph)
+        self.switches = np.array([line_at[lid] for lid in self.switch_ids],
                                  dtype=int)
-        tie = [(lid, ki, kj) for lid, ki, kj in part.block_graph if ki != kj]
-        self.tie_ids = tuple(lid for lid, _, _ in tie)
-        self.tie_rows = np.array([line_at[lid] for lid in self.tie_ids],
-                                 dtype=int)
-        self.tie_ends = np.array([[ki for _, ki, _ in tie],
-                                  [kj for _, _, kj in tie]], dtype=int)
+        self.switch_ends = np.array([[ki for _, ki, _ in part.block_graph],
+                                     [kj for _, _, kj in part.block_graph]],
+                                    dtype=int)
 
         self.resistance, self.reactance, switchable = _numbers(
             lines, "resistance", "reactance", "switchable")
@@ -474,6 +473,7 @@ def _emit(out: list, ids, checks, first_period: int = 0) -> None:
 def verify_schedule(net: NetworkModel, part: BlockPartition, scen: Scenario,
                     sched: Schedule, mode: str = "equitable") -> ViolationReport:
     """Re-derive every constraint family and report all breaches."""
+    _check_mode(mode)
     a = _NetworkArrays(net, part)
     s = _stack_series(a, scen, sched)
     s["gates"] = _gates(a, s, scen)
@@ -556,9 +556,9 @@ def _switches(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
     _emit(out, a.ids["lines"], [_residual("fixed_line", 1.0, LOGIC_TOL,
                                           (status == 0) & a.fixed)])
     z = s["block_status"]
-    ki, kj = a.tie_ends
-    split = (status[a.tie_rows] == 1) & (z[ki] != z[kj])
-    _emit(out, a.tie_ids, [_residual("alignment", 1.0, LOGIC_TOL, split)])
+    ki, kj = a.switch_ends
+    split = (status[a.switches] == 1) & (z[ki] != z[kj])
+    _emit(out, a.switch_ids, [_residual("alignment", 1.0, LOGIC_TOL, split)])
 
 
 def _islands(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
@@ -683,7 +683,9 @@ def _read_series(values, name: str, status: bool) -> np.ndarray:
     a = np.asarray(values)
     kind = a.dtype.kind
     flat = chain.from_iterable(values) if a.ndim == 2 else values
-    if kind not in "iuf" or (0 < a.ndim < 3 and bool in set(map(type, flat))):
+    # unsigned arrays hold only integers past int64, which the cast wraps
+    if (kind not in ("if" if status else "iuf")
+            or (0 < a.ndim < 3 and bool in set(map(type, flat)))):
         what = "status values must be integers" if status else \
             "values must be numbers"
         raise ParseError(f"{name}: {what}")

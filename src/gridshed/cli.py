@@ -20,7 +20,8 @@ from .instances import (
     thirteen_bus_network,
     thirteen_bus_scenario,
 )
-from .netmodel import compute_load_blocks, load_network, load_scenario, read_json
+from .netmodel import (MODES, compute_load_blocks, load_network, load_scenario,
+                       read_json)
 from .solver import SolverOptions
 
 EXIT_OK = 0
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--net", required=True, help="network JSON file")
         p.add_argument("--scen", required=True, help="scenario JSON file")
-        p.add_argument("--mode", choices=("original", "equitable"),
+        p.add_argument("--mode", choices=MODES,
                        default="equitable")
 
     def add_solver(p):

@@ -29,10 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import ModelError
-from .netmodel import BlockPartition, NetworkModel, Scenario
+from .netmodel import BlockPartition, NetworkModel, Scenario, _check_mode
 
-MODES = ("original", "equitable")
+# a coefficient or right-hand side of one of these types is per period
+_SEQUENCE = (list, tuple, np.ndarray)
+
+
+def _by_period(values, T):
+    """``values`` at each period t < T, reading each sequence at t; one
+    shared list when there is none."""
+    if not any(isinstance(v, _SEQUENCE) for v in values):
+        return [values] * T
+    return [[v[t] if isinstance(v, _SEQUENCE) else v for v in values]
+            for t in range(T)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +86,7 @@ class ModelBuilder:
 
     def __init__(self, net: NetworkModel, part: BlockPartition,
                  scen: Scenario, mode: str = "equitable"):
-        if mode not in MODES:
-            raise ModelError(f"unknown mode {mode!r}; expected one of {MODES}")
+        _check_mode(mode)
         self.net = net
         self.part = part
         self.scen = scen
@@ -109,8 +117,8 @@ class ModelBuilder:
     def _prepare_topology(self):
         net, part = self.net, self.part
         self.root_bus = net.substation.id
-        self.root_block = part.block_of(self.root_bus)
         self.kappa_of = part.block_of_bus
+        self.root_block = self.kappa_of[self.root_bus]
 
         # directed arcs: each line yields a forward (from->to) and reverse arc
         self.arcs = []
@@ -126,12 +134,8 @@ class ModelBuilder:
                 self.arcs_out[tail].append(arc)
                 self.arcs_in[head].append(arc)
 
-        # inter-block switches only; intra-block loops carry no block semantics
-        self.switch_edges = [
-            (line_id, ki, kj) for line_id, ki, kj in part.block_graph if ki != kj
-        ]
         self.switches_of_block: dict = {k: [] for k in range(part.n_blocks)}
-        for line_id, ki, kj in self.switch_edges:
+        for line_id, ki, kj in part.block_graph:
             self.switches_of_block[ki].append(line_id)
             self.switches_of_block[kj].append(line_id)
 
@@ -141,11 +145,10 @@ class ModelBuilder:
             for unit in getattr(net, name):
                 self.units_at[unit.bus][i].append(unit.id)
 
-        self.formers_of_block: dict = {k: [] for k in range(part.n_blocks)}
-        for d in net.ders:
-            if d.can_grid_form:
-                self.formers_of_block[self.kappa_of[d.bus]].append(d.id)
         self.gf_ders = [d for d in net.ders if d.can_grid_form]
+        self.formers_of_block: dict = {k: [] for k in range(part.n_blocks)}
+        for d in self.gf_ders:
+            self.formers_of_block[self.kappa_of[d.bus]].append(d.id)
 
         # buses that can inject the forming token into the support flow
         source = {self.root_bus}
@@ -155,6 +158,18 @@ class ModelBuilder:
         # de-energized buses sit at w = 0, so the voltage gap across an
         # open line can reach the full upper bound, not vmax^2 - vmin^2
         self._vspread = max((b.v_max ** 2 for b in net.buses), default=1.0)
+
+    def _z(self, bus_id):
+        """The status series of the block that holds ``bus_id``."""
+        return "z", f"blk{self.kappa_of[bus_id]}"
+
+    def _arc_terms(self, family, bus_id, prefix=""):
+        """Terms of the arc series ``family`` (entity ``prefix`` + arc)
+        that balance at ``bus_id``: +1 per arc in, -1 per arc out."""
+        return ([(family, f"{prefix}{line.id}:{tag}", 1.0)
+                 for line, tag, _, _ in self.arcs_in[bus_id]]
+                + [(family, f"{prefix}{line.id}:{tag}", -1.0)
+                   for line, tag, _, _ in self.arcs_out[bus_id]])
 
     # -- variable and row primitives -----------------------------------------
 
@@ -169,9 +184,6 @@ class ModelBuilder:
         self._binary.extend([kind == "B"] * n)
         self.series[(family, entity)] = range(start, start + n)
 
-    def _col(self, family, entity, t) -> int:
-        return self.series[(family, entity)][t]
-
     def _row(self, group, cols, vals, rel, rhs):
         rhs = float(rhs)
         self._row_groups.append(group)
@@ -181,11 +193,56 @@ class ModelBuilder:
         self._cols.extend(cols)
         self._vals.extend(vals)
 
-    def _gate(self, group, x, z, lo, hi):
-        """lo * z <= x <= hi * z: x is zero when z is off, within
-        [lo, hi] when on."""
-        self._row(group, [x, z], [1.0, -hi], "<=", 0.0)
-        self._row(group, [x, z], [-1.0, lo], "<=", 0.0)
+    def _term(self, family, entity, coef, lag=0):
+        """(column in period 0, coef, lag) of one template term."""
+        return self.series[family, entity].start - lag, coef, lag
+
+    def _each_period(self, rows, first=0):
+        """Write the row templates ``rows`` once for every period
+        t >= ``first``: all rows of period t, in template order, before
+        those of t + 1.
+
+        A template is (group, terms, rel, rhs) and a term is (family,
+        entity, coef[, lag]): the column of that series at period t - lag,
+        left out while t - lag < 0.  A ``coef`` or ``rhs`` that is a
+        sequence (list, tuple or array) is read at t.
+        """
+        T = self.T
+        rows = [(group, [self._term(*term) for term in terms], rel, rhs)
+                for group, terms, rel, rhs in rows]
+        groups = [group for group, _, _, _ in rows]
+        lo = _by_period([-math.inf if rel == "<=" else rhs
+                         for _, _, rel, rhs in rows], T)
+        hi = _by_period([math.inf if rel == ">=" else rhs
+                         for _, _, rel, rhs in rows], T)
+        max_lag = max((lag for _, terms, _, _ in rows for _, _, lag in terms),
+                      default=0)
+        for t in range(first, T):
+            # the live terms change only while some lag reaches before 0
+            if t == first or t <= max_lag:
+                live = [[term for term in terms if term[2] <= t]
+                        for _, terms, _, _ in rows]
+                lens = [len(terms) for terms in live]
+                starts = [start for terms in live for start, _, _ in terms]
+                vals = _by_period([coef for terms in live for _, coef, _ in terms], T)
+            self._row_groups.extend(groups)
+            self._row_lo.extend(lo[t])
+            self._row_hi.extend(hi[t])
+            self._row_len.extend(lens)
+            self._cols.extend([start + t for start in starts])
+            self._vals.extend(vals[t])
+
+    @staticmethod
+    def _gate(group, z, *bounded):
+        """The two templates of lo * z <= x <= hi * z per (x, lo, hi) of
+        ``bounded``: x is zero when z is off, within [lo, hi] when on.
+        ``x`` and ``z`` are (family, entity) series; ``lo`` and ``hi`` are
+        scalars or per-period arrays."""
+        rows = []
+        for x, lo, hi in bounded:
+            rows += [(group, [(*x, 1.0), (*z, -hi)], "<=", 0.0),
+                     (group, [(*x, -1.0), (*z, lo)], "<=", 0.0)]
+        return rows
 
     # -- variables -----------------------------------------------------------
 
@@ -245,7 +302,7 @@ class ModelBuilder:
                 self._var("fcom", f"{b.id}|{line.id}:{tag}", "C", 0.0, 1.0)
 
         n = float(self.n_buses)
-        for line_id, _, _ in self.switch_edges:
+        for line_id, _, _ in self.part.block_graph:
             self._var("y", line_id, "C", 0.0, 1.0)
         for bus_id in self.source_buses:
             self._var("src", bus_id, "C", 0.0, n)
@@ -268,61 +325,43 @@ class ModelBuilder:
             big_m = 2.0 * self._vspread + 2.0 * (
                 line.resistance * pabs + line.reactance * qabs
             )
-            for t in range(self.T):
-                cols = [
-                    self._col("w", line.to_bus, t),
-                    self._col("w", line.from_bus, t),
-                    self._col("pflow", line.id, t),
-                    self._col("qflow", line.id, t),
-                    self._col("zsw", line.id, t),
-                ]
-                base = [1.0, -1.0, 2.0 * line.resistance, 2.0 * line.reactance]
-                self._row("power_flow", cols, base + [big_m], "<=", big_m)
-                self._row("power_flow", cols, base + [-big_m], ">=", -big_m)
+            drop = [("w", line.to_bus, 1.0), ("w", line.from_bus, -1.0),
+                    ("pflow", line.id, 2.0 * line.resistance),
+                    ("qflow", line.id, 2.0 * line.reactance)]
+            self._each_period([
+                ("power_flow", drop + [("zsw", line.id, big_m)], "<=", big_m),
+                ("power_flow", drop + [("zsw", line.id, -big_m)], ">=", -big_m),
+            ])
 
     def add_operational_bounds(self):
         """Voltage, generation, and load envelopes gated by block status,
         plus generator ramping between consecutive periods."""
+        gate, mults = self._gate, np.array(self.scen.demand_multiplier)
         for b in self.net.buses:
-            zk = f"blk{self.kappa_of[b.id]}"
-            for t in range(self.T):
-                self._gate("voltage_bounds", self._col("w", b.id, t),
-                           self._col("z", zk, t), b.v_min ** 2, b.v_max ** 2)
+            self._each_period(gate("voltage_bounds", self._z(b.id),
+                                   (("w", b.id), b.v_min ** 2, b.v_max ** 2)))
         for d in self.net.ders:
-            zk = f"blk{self.kappa_of[d.bus]}"
-            for t in range(self.T):
-                z = self._col("z", zk, t)
-                self._gate("gen_bounds", self._col("pg", d.id, t), z,
-                           d.p_min, d.p_max)
-                self._gate("gen_bounds", self._col("qg", d.id, t), z,
-                           d.q_min, d.q_max)
+            self._each_period(gate("gen_bounds", self._z(d.bus),
+                                   (("pg", d.id), d.p_min, d.p_max),
+                                   (("qg", d.id), d.q_min, d.q_max)))
         for ld in self.net.loads:
-            zk = f"blk{self.kappa_of[ld.bus]}"
-            for t in range(self.T):
-                mult = self.scen.demand_multiplier[t]
-                z = self._col("z", zk, t)
-                self._gate("load_bounds", self._col("pd", ld.id, t), z,
-                           ld.p_min * mult, ld.p_max * mult)
-                self._gate("load_bounds", self._col("qd", ld.id, t), z,
-                           ld.q_min * mult, ld.q_max * mult)
+            self._each_period(gate("load_bounds", self._z(ld.bus),
+                                   (("pd", ld.id), ld.p_min * mults, ld.p_max * mults),
+                                   (("qd", ld.id), ld.q_min * mults, ld.q_max * mults)))
+        # the rise pg(t) - pg(t-1) and the fall pg(t-1) - pg(t)
         for d in self.net.ders:
-            for t in range(1, self.T):
-                prev = self._col("pg", d.id, t - 1)
-                cur = self._col("pg", d.id, t)
-                if math.isfinite(d.ramp_up):
-                    self._row("ramping", [cur, prev], [1.0, -1.0], "<=", d.ramp_up)
-                if math.isfinite(d.ramp_down):
-                    self._row("ramping", [prev, cur], [1.0, -1.0], "<=", d.ramp_down)
+            self._each_period([
+                ("ramping", [("pg", d.id, 1.0, lag), ("pg", d.id, -1.0, 1 - lag)],
+                 "<=", limit)
+                for limit, lag in ((d.ramp_up, 0), (d.ramp_down, 1))
+                if math.isfinite(limit)], first=1)
 
     def add_line_switching(self):
         """Flow gating by line status and nodal real/reactive balance."""
         for line in self.net.lines:
-            for t in range(self.T):
-                zsw = self._col("zsw", line.id, t)
-                self._gate("flow_gating", self._col("pflow", line.id, t), zsw,
-                           line.p_min, line.p_max)
-                self._gate("flow_gating", self._col("qflow", line.id, t), zsw,
-                           line.q_min, line.q_max)
+            self._each_period(self._gate("flow_gating", ("zsw", line.id),
+                                         (("pflow", line.id), line.p_min, line.p_max),
+                                         (("qflow", line.id), line.q_min, line.q_max)))
         for b in self.net.buses:
             ders, loads, storage = self.units_at[b.id]
             # a line's forward arc enters its to-bus and leaves its from-bus
@@ -330,78 +369,57 @@ class ModelBuilder:
                      for sign, arcs in ((1.0, self.arcs_in[b.id]),
                                         (-1.0, self.arcs_out[b.id]))
                      for line, tag, _, _ in arcs if tag == "f"]
-            for t in range(self.T):
-                pcols, pvals = [], []
-                qcols, qvals = [], []
-                for gid in ders:
-                    pcols.append(self._col("pg", gid, t)); pvals.append(1.0)
-                    qcols.append(self._col("qg", gid, t)); qvals.append(1.0)
-                for sid in storage:
-                    pcols.append(self._col("pdis", sid, t)); pvals.append(1.0)
-                    pcols.append(self._col("pch", sid, t)); pvals.append(-1.0)
-                for lid in loads:
-                    pcols.append(self._col("pd", lid, t)); pvals.append(-1.0)
-                    qcols.append(self._col("qd", lid, t)); qvals.append(-1.0)
-                for lid, sign in lines:
-                    pcols.append(self._col("pflow", lid, t)); pvals.append(sign)
-                    qcols.append(self._col("qflow", lid, t)); qvals.append(sign)
-                self._row("nodal_balance", pcols, pvals, "=", 0.0)
-                self._row("nodal_balance", qcols, qvals, "=", 0.0)
+            p = ([("pg", gid, 1.0) for gid in ders]
+                 + [term for sid in storage
+                    for term in (("pdis", sid, 1.0), ("pch", sid, -1.0))]
+                 + [("pd", lid, -1.0) for lid in loads]
+                 + [("pflow", lid, sign) for lid, sign in lines])
+            q = ([("qg", gid, 1.0) for gid in ders]
+                 + [("qd", lid, -1.0) for lid in loads]
+                 + [("qflow", lid, sign) for lid, sign in lines])
+            self._each_period([("nodal_balance", p, "=", 0.0),
+                               ("nodal_balance", q, "=", 0.0)])
 
     def add_storage(self):
         """Energy recursion, charge/discharge complementarity, and power
         caps; a unit in a de-energized block cannot cycle."""
         dh = self.scen.period_hours
         for s in self.net.storage:
-            zk = f"blk{self.kappa_of[s.bus]}"
-            for t in range(self.T):
-                e = self._col("E", s.id, t)
-                pch = self._col("pch", s.id, t)
-                pdis = self._col("pdis", s.id, t)
-                cols = [e, pch, pdis]
-                vals = [1.0, -dh * s.eta_charge, dh / s.eta_discharge]
-                if t == 0:
-                    self._row("storage_energy", cols, vals, "=", s.initial_energy)
-                else:
-                    cols.append(self._col("E", s.id, t - 1))
-                    vals.append(-1.0)
-                    self._row("storage_energy", cols, vals, "=", 0.0)
-            for t in range(self.T):
-                zch = self._col("zch", s.id, t)
-                zdis = self._col("zdis", s.id, t)
-                zs = self._col("zs", s.id, t)
-                z = self._col("z", zk, t)
-                self._row("storage_status", [zch, zdis, zs], [1.0, 1.0, -1.0], "=", 0.0)
-                self._row("storage_status",
-                          [self._col("pch", s.id, t), zch],
-                          [1.0, -s.p_charge_max], "<=", 0.0)
-                self._row("storage_status",
-                          [self._col("pdis", s.id, t), zdis],
-                          [1.0, -s.p_discharge_max], "<=", 0.0)
-                self._row("storage_status", [zs, z], [1.0, -1.0], "<=", 0.0)
+            self._each_period([(
+                "storage_energy",
+                [("E", s.id, 1.0), ("pch", s.id, -dh * s.eta_charge),
+                 ("pdis", s.id, dh / s.eta_discharge), ("E", s.id, -1.0, 1)],
+                "=", [s.initial_energy] + [0.0] * (self.T - 1))])
+            self._each_period([
+                ("storage_status", [("zch", s.id, 1.0), ("zdis", s.id, 1.0),
+                                    ("zs", s.id, -1.0)], "=", 0.0),
+                ("storage_status", [("pch", s.id, 1.0),
+                                    ("zch", s.id, -s.p_charge_max)], "<=", 0.0),
+                ("storage_status", [("pdis", s.id, 1.0),
+                                    ("zdis", s.id, -s.p_discharge_max)], "<=", 0.0),
+                ("storage_status", [("zs", s.id, 1.0), (*self._z(s.bus), -1.0)],
+                 "<=", 0.0),
+            ])
 
     def add_wildfire_cap(self):
         """Energized risk share held below epsilon of total risk, per period."""
-        for t in range(self.T):
-            total = sum(self.scen.risk[k][t] for k in range(self.part.n_blocks))
-            cols = [self._col("z", f"blk{k}", t) for k in range(self.part.n_blocks)]
-            vals = [self.scen.risk[k][t] for k in range(self.part.n_blocks)]
-            self._row("wildfire_cap", cols, vals, "<=", self.scen.epsilon * total)
+        risk, blocks = self.scen.risk, range(self.part.n_blocks)
+        self._each_period([(
+            "wildfire_cap", [("z", f"blk{k}", risk[k]) for k in blocks], "<=",
+            [self.scen.epsilon * sum(risk[k][t] for k in blocks)
+             for t in range(self.T)])])
 
     def add_switch_budgets(self):
         """Per-period limits on blocks shed and switch lines opened."""
         n_blocks = self.part.n_blocks
         switchable = [l for l in self.net.lines if l.switchable]
-        for t in range(self.T):
-            cols = [self._col("z", f"blk{k}", t) for k in range(n_blocks)]
-            self._row("block_budget", cols, [1.0] * n_blocks, ">=",
-                      n_blocks - self.scen.k_bl_max)
-        for t in range(self.T):
-            if not switchable:
-                continue
-            cols = [self._col("zsw", l.id, t) for l in switchable]
-            self._row("switch_budget", cols, [1.0] * len(switchable), ">=",
-                      len(switchable) - self.scen.k_sw_max)
+        self._each_period([(
+            "block_budget", [("z", f"blk{k}", 1.0) for k in range(n_blocks)],
+            ">=", n_blocks - self.scen.k_bl_max)])
+        if switchable:
+            self._each_period([(
+                "switch_budget", [("zsw", l.id, 1.0) for l in switchable],
+                ">=", len(switchable) - self.scen.k_sw_max)])
 
     def add_topology(self):
         """Alignment, spanning tree, and root-to-node commodity flows.
@@ -410,60 +428,39 @@ class ModelBuilder:
         when needed; since all closed lines must belong to the tree, the
         energized part of the network is always a forest.
         """
-        for line_id, ki, kj in self.switch_edges:
-            for t in range(self.T):
-                zi = self._col("z", f"blk{ki}", t)
-                zj = self._col("z", f"blk{kj}", t)
-                zsw = self._col("zsw", line_id, t)
-                self._row("alignment", [zi, zj, zsw], [1.0, -1.0, 1.0], "<=", 1.0)
-                self._row("alignment", [zj, zi, zsw], [1.0, -1.0, 1.0], "<=", 1.0)
+        for line_id, ki, kj in self.part.block_graph:
+            self._each_period([
+                ("alignment", [("z", f"blk{a}", 1.0), ("z", f"blk{b}", -1.0),
+                               ("zsw", line_id, 1.0)], "<=", 1.0)
+                for a, b in ((ki, kj), (kj, ki))])
 
-        for t in range(self.T):
-            cols = [
-                self._col("phi", f"{line.id}:{tag}", t)
-                for line in self.net.lines
-                for tag in ("f", "r")
-            ]
-            self._row("tree_cardinality", cols, [1.0] * len(cols), "=",
-                      self.n_buses - 1)
+        self._each_period([(
+            "tree_cardinality",
+            [("phi", f"{line.id}:{tag}", 1.0)
+             for line in self.net.lines for tag in ("f", "r")],
+            "=", self.n_buses - 1)])
         for line in self.net.lines:
-            for t in range(self.T):
-                pf = self._col("phi", f"{line.id}:f", t)
-                pr = self._col("phi", f"{line.id}:r", t)
-                zeta = self._col("zeta", line.id, t)
-                self._row("tree_membership", [pf, pr, zeta], [1.0, 1.0, -1.0], "=", 0.0)
+            self._each_period([(
+                "tree_membership",
+                [("phi", f"{line.id}:f", 1.0), ("phi", f"{line.id}:r", 1.0),
+                 ("zeta", line.id, -1.0)], "=", 0.0)])
         for line in self.net.lines:
-            if not line.switchable:
-                continue
-            for t in range(self.T):
-                zsw = self._col("zsw", line.id, t)
-                zeta = self._col("zeta", line.id, t)
-                self._row("tree_switch_link", [zsw, zeta], [1.0, -1.0], "<=", 0.0)
+            if line.switchable:
+                self._each_period([(
+                    "tree_switch_link",
+                    [("zsw", line.id, 1.0), ("zeta", line.id, -1.0)], "<=", 0.0)])
 
         # one fictitious commodity per non-root bus, shipped from the root
         for b in self.net.buses:
             if b.id == self.root_bus:
                 continue
-            for t in range(self.T):
-                for node in self.net.buses:
-                    cols, vals = [], []
-                    for line, tag, _, _ in self.arcs_in[node.id]:
-                        cols.append(self._col("fcom", f"{b.id}|{line.id}:{tag}", t))
-                        vals.append(1.0)
-                    for line, tag, _, _ in self.arcs_out[node.id]:
-                        cols.append(self._col("fcom", f"{b.id}|{line.id}:{tag}", t))
-                        vals.append(-1.0)
-                    if node.id == self.root_bus:
-                        rhs = -1.0
-                    elif node.id == b.id:
-                        rhs = 1.0
-                    else:
-                        rhs = 0.0
-                    self._row("commodity_balance", cols, vals, "=", rhs)
-                for line, tag, _, _ in self.arcs:
-                    f = self._col("fcom", f"{b.id}|{line.id}:{tag}", t)
-                    phi = self._col("phi", f"{line.id}:{tag}", t)
-                    self._row("commodity_capacity", [f, phi], [1.0, -1.0], "<=", 0.0)
+            supply = {self.root_bus: -1.0, b.id: 1.0}
+            self._each_period(
+                [("commodity_balance", self._arc_terms("fcom", node.id, f"{b.id}|"),
+                  "=", supply.get(node.id, 0.0)) for node in self.net.buses]
+                + [("commodity_capacity", [("fcom", f"{b.id}|{line.id}:{tag}", 1.0),
+                                           ("phi", f"{line.id}:{tag}", -1.0)],
+                    "<=", 0.0) for line, tag, _, _ in self.arcs])
 
     def add_grid_forming(self):
         """Grid-forming reference assignment.
@@ -481,116 +478,82 @@ class ModelBuilder:
         exactly one reference per energized island, with the substation
         serving as the reference for its own island.
         """
-        T = self.T
         n = float(self.n_buses)
-        n_blocks = self.part.n_blocks
+        root_z = ("z", f"blk{self.root_block}")
 
-        for k in range(n_blocks):
-            sw = self.switches_of_block[k]
-            formers = self.formers_of_block[k]
-            for t in range(T):
-                if k != self.root_block:
-                    cols = [self._col("z", f"blk{k}", t)]
-                    vals = [1.0]
-                    for line_id in sw:
-                        cols.append(self._col("zsw", line_id, t))
-                        vals.append(-1.0)
-                    for did in formers:
-                        cols.append(self._col("zinv", did, t))
-                        vals.append(-1.0)
-                    self._row("forming_bounds", cols, vals, "<=", 0.0)
-                if formers:
-                    cols = [self._col("zinv", did, t) for did in formers]
-                    self._row("forming_bounds", cols, [1.0] * len(cols), "<=", 1.0)
+        for k in range(self.part.n_blocks):
+            formers = [("zinv", did) for did in self.formers_of_block[k]]
+            rows = []
+            if k != self.root_block:
+                rows.append((
+                    "forming_bounds",
+                    [("z", f"blk{k}", 1.0)]
+                    + [("zsw", line_id, -1.0)
+                       for line_id in self.switches_of_block[k]]
+                    + [(*x, -1.0) for x in formers], "<=", 0.0))
+            if formers:
+                rows.append(("forming_bounds", [(*x, 1.0) for x in formers],
+                             "<=", 1.0))
+            self._each_period(rows)
 
         for d in self.net.ders:
             k = self.kappa_of[d.bus]
-            sw = self.switches_of_block[k]
-            formers = self.formers_of_block[k]
-            for t in range(T):
-                sup_cols = [self._col("zsw", line_id, t) for line_id in sw]
-                sup_cols += [self._col("zinv", did, t) for did in formers]
-                if k == self.root_block:
-                    sup_cols.append(self._col("z", f"blk{k}", t))
-                for fam, hi_b, lo_b in (
-                    ("pg", d.p_max, d.p_min),
-                    ("qg", d.q_max, d.q_min),
-                ):
-                    v = self._col(fam, d.id, t)
-                    if hi_b >= 0:
-                        self._row("forming_output",
-                                  [v] + sup_cols,
-                                  [1.0] + [-hi_b] * len(sup_cols), "<=", 0.0)
-                    if lo_b < 0:
-                        self._row("forming_output",
-                                  [v] + sup_cols,
-                                  [-1.0] + [lo_b] * len(sup_cols), "<=", 0.0)
+            support = ([("zsw", line_id) for line_id in self.switches_of_block[k]]
+                       + [("zinv", did) for did in self.formers_of_block[k]]
+                       + ([root_z] if k == self.root_block else []))
+            # x <= hi * support while hi >= 0, -x <= -lo * support while lo < 0
+            self._each_period([
+                ("forming_output", [(fam, d.id, sign)]
+                 + [(*x, coef) for x in support], "<=", 0.0)
+                for fam, sign, coef, kept in (
+                    ("pg", 1.0, -d.p_max, d.p_max >= 0),
+                    ("pg", -1.0, d.p_min, d.p_min < 0),
+                    ("qg", 1.0, -d.q_max, d.q_max >= 0),
+                    ("qg", -1.0, d.q_min, d.q_min < 0))
+                if kept])
 
         for d in self.gf_ders:
-            zk = f"blk{self.kappa_of[d.bus]}"
-            for t in range(T):
-                self._row("forming_support",
-                          [self._col("zinv", d.id, t), self._col("z", zk, t)],
-                          [1.0, -1.0], "<=", 0.0)
+            self._each_period([(
+                "forming_support",
+                [("zinv", d.id, 1.0), (*self._z(d.bus), -1.0)], "<=", 0.0)])
 
-        for line_id, ki, _ in self.switch_edges:
-            for t in range(T):
-                y = self._col("y", line_id, t)
-                zsw = self._col("zsw", line_id, t)
-                zi = self._col("z", f"blk{ki}", t)
-                self._row("forming_support", [y, zsw], [1.0, -1.0], "<=", 0.0)
-                self._row("forming_support", [y, zi], [1.0, -1.0], "<=", 0.0)
-                self._row("forming_support", [zsw, zi, y], [1.0, 1.0, -1.0], "<=", 1.0)
+        for line_id, ki, _ in self.part.block_graph:
+            y, zsw, zi = ("y", line_id), ("zsw", line_id), ("z", f"blk{ki}")
+            self._each_period([
+                ("forming_support", [(*y, 1.0), (*zsw, -1.0)], "<=", 0.0),
+                ("forming_support", [(*y, 1.0), (*zi, -1.0)], "<=", 0.0),
+                ("forming_support", [(*zsw, 1.0), (*zi, 1.0), (*y, -1.0)],
+                 "<=", 1.0),
+            ])
 
-        for t in range(T):
-            # forming tokens == energized islands (forest component count)
-            cols = [self._col("zinv", d.id, t) for d in self.gf_ders]
-            vals = [1.0] * len(cols)
-            cols.append(self._col("z", f"blk{self.root_block}", t))
-            vals.append(1.0)
-            for k in range(n_blocks):
-                cols.append(self._col("z", f"blk{k}", t))
-                vals.append(-1.0)
-            for line_id, _, _ in self.switch_edges:
-                cols.append(self._col("y", line_id, t))
-                vals.append(1.0)
-            self._row("forming_support", cols, vals, "=", 0.0)
+        # forming tokens == energized islands (forest component count)
+        self._each_period([(
+            "forming_support",
+            [("zinv", d.id, 1.0) for d in self.gf_ders] + [(*root_z, 1.0)]
+            + [("z", f"blk{k}", -1.0) for k in range(self.part.n_blocks)]
+            + [("y", line_id, 1.0) for line_id, _, _ in self.part.block_graph],
+            "=", 0.0)])
 
         for bus_id in self.source_buses:
-            gf_here = [d for d in self.gf_ders if d.bus == bus_id]
-            for t in range(T):
-                cols = [self._col("src", bus_id, t)]
-                vals = [1.0]
-                for d in gf_here:
-                    cols.append(self._col("zinv", d.id, t))
-                    vals.append(-n)
-                if bus_id == self.root_bus:
-                    cols.append(self._col("z", f"blk{self.root_block}", t))
-                    vals.append(-n)
-                self._row("forming_support", cols, vals, "<=", 0.0)
+            self._each_period([(
+                "forming_support",
+                [("src", bus_id, 1.0)]
+                + [("zinv", d.id, -n) for d in self.gf_ders if d.bus == bus_id]
+                + ([(*root_z, -n)] if bus_id == self.root_bus else []),
+                "<=", 0.0)])
 
         for line, tag, _, _ in self.arcs:
-            for t in range(T):
-                g = self._col("gflow", f"{line.id}:{tag}", t)
-                zsw = self._col("zsw", line.id, t)
-                self._row("forming_support", [g, zsw], [1.0, -n], "<=", 0.0)
+            self._each_period([(
+                "forming_support",
+                [("gflow", f"{line.id}:{tag}", 1.0), ("zsw", line.id, -n)],
+                "<=", 0.0)])
 
         for b in self.net.buses:
-            zk = f"blk{self.kappa_of[b.id]}"
-            for t in range(T):
-                cols, vals = [], []
-                for line, tag, _, _ in self.arcs_in[b.id]:
-                    cols.append(self._col("gflow", f"{line.id}:{tag}", t))
-                    vals.append(1.0)
-                for line, tag, _, _ in self.arcs_out[b.id]:
-                    cols.append(self._col("gflow", f"{line.id}:{tag}", t))
-                    vals.append(-1.0)
-                if b.id in self.source_buses:
-                    cols.append(self._col("src", b.id, t))
-                    vals.append(1.0)
-                cols.append(self._col("z", zk, t))
-                vals.append(-1.0)
-                self._row("forming_support", cols, vals, "=", 0.0)
+            source = [("src", b.id, 1.0)] if b.id in self.source_buses else []
+            self._each_period([(
+                "forming_support",
+                self._arc_terms("gflow", b.id) + source + [(*self._z(b.id), -1.0)],
+                "=", 0.0)])
 
     def add_equity(self):
         """Shed-count caps, duration windows, change-frequency caps,
@@ -605,59 +568,45 @@ class ModelBuilder:
         scen = self.scen
         n_blocks = self.part.n_blocks
         regular = [k for k in range(n_blocks) if k not in scen.emergency]
+        z = [self.series["z", f"blk{k}"] for k in range(n_blocks)]
 
         for k in regular:
-            if scen.alpha[k] >= T:
-                continue
-            cols = [self._col("z", f"blk{k}", t) for t in range(T)]
-            self._row("alpha_cap", cols, [1.0] * T, ">=", T - scen.alpha[k])
+            if scen.alpha[k] < T:
+                self._row("alpha_cap", z[k], [1.0] * T, ">=", T - scen.alpha[k])
 
         if scen.lam < 1.0:
             width = scen.window + 1
             for k in regular:
                 for start in range(0, T - scen.window):
-                    cols = [
-                        self._col("z", f"blk{k}", t)
-                        for t in range(start, start + width)
-                    ]
-                    self._row("shed_window", cols, [1.0] * width, ">=",
-                              width * (1.0 - scen.lam))
+                    self._row("shed_window", z[k][start:start + width],
+                              [1.0] * width, ">=", width * (1.0 - scen.lam))
 
         if self.with_dz:
             for k in regular:
-                dz = self.series[("dz", f"blk{k}")]  # periods 1..T-1
-                for t in range(1, T):
-                    zc = self._col("z", f"blk{k}", t)
-                    zp = self._col("z", f"blk{k}", t - 1)
-                    self._row("status_changes", [dz[t - 1], zc, zp],
-                              [1.0, -1.0, 1.0], ">=", 0.0)
-                    self._row("status_changes", [dz[t - 1], zp, zc],
-                              [1.0, -1.0, 1.0], ">=", 0.0)
-                self._row("status_changes", list(dz), [1.0] * len(dz), "<=", scen.m)
+                # dz(t) >= |z(t) - z(t-1)|; the counter of period t is
+                # column t - 1 of its series
+                dz, zk = ("dz", f"blk{k}"), ("z", f"blk{k}")
+                self._each_period([
+                    ("status_changes",
+                     [(*dz, 1.0, 1), (*zk, -1.0, lag), (*zk, 1.0, 1 - lag)],
+                     ">=", 0.0) for lag in (0, 1)], first=1)
+                dz = self.series[dz]
+                self._row("status_changes", dz, [1.0] * len(dz), "<=", scen.m)
 
-        all_z = [(self._col("z", f"blk{k}", t), k)
-                 for k in range(n_blocks) for t in range(T)]
+        all_z = [col for cols in z for col in cols]
         for k in regular:
             psi = scen.psi[k]
-            if psi >= 1.0:
-                continue
-            cols = [c for c, _ in all_z]
-            vals = [psi - 1.0 if kk == k else psi for c, kk in all_z]
-            self._row("share_cap", cols, vals, "<=",
-                      psi * n_blocks * T - T)
+            if psi < 1.0:
+                vals = [psi - 1.0 if kk == k else psi
+                        for kk in range(n_blocks) for _ in range(T)]
+                self._row("share_cap", all_z, vals, "<=", psi * n_blocks * T - T)
 
         for k in regular:
             for v in regular:
-                if k == v:
-                    continue
                 beta = scen.beta[k][v]
-                if not math.isfinite(beta):
-                    continue
-                cols = [self._col("z", f"blk{k}", t) for t in range(T)]
-                vals = [-1.0] * T
-                cols += [self._col("z", f"blk{v}", t) for t in range(T)]
-                vals += [beta] * T
-                self._row("pair_ratio", cols, vals, "<=", (beta - 1.0) * T)
+                if k != v and math.isfinite(beta):
+                    self._row("pair_ratio", [*z[k], *z[v]],
+                              [-1.0] * T + [beta] * T, "<=", (beta - 1.0) * T)
 
     def set_objective(self):
         """Served-demand shortfall cost, plus the vulnerability term in
@@ -665,14 +614,14 @@ class ModelBuilder:
         the period multiplier, so the objective stays linear in z."""
         rho = self.scen.rho if self.mode == "equitable" else 0.0
         for blk in self.part.blocks:
+            z = self.series["z", f"blk{blk.index}"]
             for t in range(self.T):
                 cost = (blk.nominal_demand * self.scen.demand_multiplier[t]
                         + rho * self.scen.vulnerability[blk.index])
-                if cost == 0.0:
-                    continue
-                self._obj_cols.append(self._col("z", f"blk{blk.index}", t))
-                self._obj_vals.append(-cost)
-                self._obj_const += cost
+                if cost != 0.0:
+                    self._obj_cols.append(z[t])
+                    self._obj_vals.append(-cost)
+                    self._obj_const += cost
 
     # -- assembly ------------------------------------------------------------
 

@@ -13,9 +13,13 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import starmap
 
-from .errors import DimensionError, ParseError, RangeError, ValidationError
+from .errors import (DimensionError, ModelError, ParseError, RangeError,
+                     ValidationError)
 
 INF = math.inf
+# "original" schedules for served energy alone; "equitable" adds the equity
+# limits and the vulnerability cost
+MODES = ("original", "equitable")
 # A scenario's scalar series are expanded to one value per period, so the
 # horizon bounds their memory; bundled cases span at most 12 periods.
 _MAX_HORIZON = 10_000
@@ -92,11 +96,17 @@ class LoadPoint:
 
 @dataclass(frozen=True)
 class NetworkModel:
+    """A network that meets every invariant of ``validate_network``: it is
+    validated, and its load blocks computed, on construction."""
+
     buses: tuple
     lines: tuple
     ders: tuple
     storage: tuple
     loads: tuple
+
+    def __post_init__(self):
+        validate_network(self)
 
     @property
     def substation(self) -> Bus:
@@ -116,7 +126,7 @@ class LoadBlock:
 class BlockPartition:
     blocks: tuple
     block_of_bus: dict
-    # (switch line id, block i, block j); i == j flags an intra-block switch
+    # (switch line id, block i, block j) with i != j
     block_graph: tuple
 
     @property
@@ -346,16 +356,20 @@ def parse_network(data: dict) -> NetworkModel:
             raise ParseError(f"{name}: expected an array of objects")
         records[name] = [_read_record(raw, where, entries) for raw in raws]
 
-    net = NetworkModel(**{
+    return NetworkModel(**{
         name: tuple(starmap(cls, records[name]))
         for name, (cls, _, _) in _COMPILED.items()
     })
-    validate_network(net)
-    return net
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ModelError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 def validate_network(net: NetworkModel) -> None:
-    """Raise ValidationError naming the first violated invariant."""
+    """Raise ValidationError naming the first violated invariant, else
+    store the load-block partition on ``net``."""
     ids = [b.id for b in net.buses]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate bus id")
@@ -428,11 +442,12 @@ def validate_network(net: NetworkModel) -> None:
     # a loop of fixed lines, or a bus that no line path joins to the
     # substation, leaves it with no schedule at all.  The components of the
     # fixed lines are the load blocks; the switchable lines then join them.
-    uf, loop = _join_fixed_lines(net)
-    if loop is not None:
-        raise ValidationError(
-            f"line {loop.id}: closes a loop of non-switchable lines"
-        )
+    uf = UnionFind(ids)
+    for l in net.lines:
+        if not l.switchable and not uf.union(l.from_bus, l.to_bus):
+            raise ValidationError(
+                f"line {l.id}: closes a loop of non-switchable lines"
+            )
     part = _partition(net, uf)
     for l in net.lines:
         if l.switchable:
@@ -481,26 +496,10 @@ def compute_load_blocks(net: NetworkModel) -> BlockPartition:
     Blocks are the connected components of the network after removing all
     switchable lines.  Indexing is deterministic: blocks are sorted by
     their lowest contained bus id, ascending, so input file ordering does
-    not matter.  The partition is computed once per network; later calls
-    return the same object.
+    not matter.  The partition is computed once, when the network is
+    constructed; every call returns the same object.
     """
-    part = getattr(net, "_partition", None)
-    if part is None:
-        part = _partition(net, _join_fixed_lines(net)[0])
-        object.__setattr__(net, "_partition", part)
-    return part
-
-
-def _join_fixed_lines(net: NetworkModel) -> tuple:
-    """A union-find of the buses in which every fixed line is joined, and
-    the first fixed line that closes a loop, or None."""
-    uf = UnionFind([b.id for b in net.buses])
-    loop = None
-    for l in net.lines:
-        if (not l.switchable and not uf.union(l.from_bus, l.to_bus)
-                and loop is None):
-            loop = l
-    return uf, loop
+    return net._partition
 
 
 def _partition(net: NetworkModel, uf: UnionFind) -> BlockPartition:

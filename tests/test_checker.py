@@ -9,6 +9,7 @@ import pytest
 from gridshed import (
     DimensionError,
     GridshedError,
+    ModelError,
     ParseError,
     Schedule,
     build_model,
@@ -20,7 +21,7 @@ from gridshed import (
     schedule_to_dict,
     verify_schedule,
 )
-from gridshed.analysis import extract_schedule
+from gridshed.analysis import extract_schedule, schedule_objective
 from gridshed.checker import SERIES, _per_period, equity_violations
 from gridshed.instances import (
     desk_network,
@@ -144,6 +145,18 @@ class TestVerifySchedule:
         net, part, scen, sched = solved
         report = verify_schedule(net, part, scen, sched, "equitable")
         assert report.passed, [v.describe() for v in report.violations]
+
+    def test_unknown_mode_rejected(self, solved):
+        """A mode other than the two the model knows is refused, as
+        build_model refuses it, not checked without the equity families."""
+        net, part, scen, sched = solved
+        message = (r"^unknown mode 'equitible'; "
+                   r"expected one of \('original', 'equitable'\)$")
+        for call, args in ((build_model, (net, part, scen)),
+                           (verify_schedule, (net, part, scen, sched)),
+                           (schedule_objective, (part, scen, sched))):
+            with pytest.raises(ModelError, match=message):
+                call(*args, mode="equitible")
 
     def test_flipping_emergency_block_fails(self, solved):
         net, part, scen, sched = solved
@@ -281,10 +294,12 @@ class TestVerifySchedule:
 
 
 def _ones_to(doc, value):
-    """Replace every 1 in a status grid or map of status series."""
+    """Replace every 1 in a status grid or map of status series by
+    ``value``, or every 0 and every 1 by the pair ``value``."""
+    zero, one = value if isinstance(value, tuple) else (0, value)
     rows = doc if isinstance(doc, list) else doc.values()
     for row in rows:
-        row[:] = [value if x == 1 else x for x in row]
+        row[:] = [one if x == 1 else zero for x in row]
 
 
 class TestScheduleDocument:
@@ -303,6 +318,9 @@ class TestScheduleDocument:
         ("block_status", 1.5), ("switch_status", 1.9),
         # integral, but past int64
         ("block_status", 1e300), ("switch_status", 1e308),
+        # integers past int64 in every entry, which numpy reads as uint64
+        ("block_status", (2**63, 2**63 + 1)),
+        ("switch_status", (2**63, 2**63 + 1)),
     ])
     def test_fractional_status_rejected(self, solved, section, value):
         doc = schedule_to_dict(solved[3])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -444,3 +445,51 @@ def test_standard_form_has_no_stored_zeros(microgrid_case, mode):
         for k in range(part.n_blocks):
             if k != root:
                 assert coef[model.series["z", f"blk{k}"][t]] == -1.0
+
+
+def stored_form_digest(model):
+    """sha256 over every field of the stored form, each array with its
+    dtype and shape; the CSR index arrays are cast to int64 first."""
+    h = hashlib.sha256()
+    a = model.A
+    for arr in (a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data,
+                model.lo, model.hi, model.is_binary, model.row_lo,
+                model.row_hi, model.c):
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(model.row_groups).encode())
+    h.update(repr([(key, cols.start, cols.stop)
+                   for key, cols in model.series.items()]).encode())
+    h.update(model.objective_constant.hex().encode())
+    return h.hexdigest()
+
+
+# Row order, column order and every coefficient steer HiGHS's search, so a
+# refactor of the builder must leave these digests unchanged.  A change
+# that alters the model on purpose re-pins them: run this test, copy each
+# digest the failure prints into the table, and record in CHANGES.md
+# why the model changed.
+PINNED_STORED_FORMS = {
+    "13bus-original":
+        "b2db1f24898e8eb7adc48792fdb5a700d30c362f70db73208a9482bc93afe714",
+    "13bus-equitable":
+        "5e57bdd4a577e6ec061d59997b1a202e7857e4ea0d9c85edfa4cd1b9dc0145a5",
+    # criterion 3's seed 1: storage over two periods, so the energy
+    # recursion drops its lagged term in period 0
+    "small-1-original":
+        "428eb429ec8d4d82feef32afe635b4d8be979bb3afacaab0dd1b819381893589",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STORED_FORMS))
+def test_stored_form_pinned(microgrid_case, name):
+    if name.startswith("13bus"):
+        net, part, scen = microgrid_case
+    else:
+        net, part, scen = load_case(
+            small_network(seed=1, n_blocks=2, with_former=True,
+                          with_storage=True),
+            small_scenario(seed=1, n_blocks=2, horizon=2, equity=False,
+                           emergency_root=False))
+    model = build_model(net, part, scen, name.rsplit("-", 1)[1])
+    assert stored_form_digest(model) == PINNED_STORED_FORMS[name], name

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridshed import build_model, compute_load_blocks, parse_scenario, solve_lp, solve_milp
+from gridshed import (ValidationError, build_model, parse_scenario, solve_lp,
+                     solve_milp)
 from gridshed.netmodel import Bus, Der, Line, LoadPoint, NetworkModel
 from gridshed.instances import load_case, thirteen_bus_network, thirteen_bus_scenario
 
@@ -29,11 +30,10 @@ def test_minimal_instance_binary_families():
     assert sol.objective == pytest.approx(0.0)
 
 
-def triangle_network():
+def test_intra_block_switch_rejected_on_construction():
     """Three buses in one block joined by two fixed lines, plus a
-    switchable line closing the triangle.  Built directly because the
-    loader rejects intra-block switches; the builder must still handle
-    them (the switch can never close without breaking radiality)."""
+    switchable line closing the triangle.  The switch joins no two blocks,
+    so the network is refused even when built directly, not loaded."""
     buses = (Bus(id="a", is_substation=True, v_min=0.9, v_max=1.1),
              Bus(id="b"), Bus(id="c"))
     lines = (
@@ -43,26 +43,8 @@ def triangle_network():
     )
     ders = (Der(id="g", bus="a", p_max=2.0, q_min=-1.0, q_max=1.0),)
     loads = (LoadPoint(id="d", bus="b", p_min=0.3, p_max=0.3),)
-    return NetworkModel(buses, lines, ders, (), loads)
-
-
-def test_triangle_spanning_tree_excludes_the_loop():
-    net = triangle_network()
-    part = compute_load_blocks(net)
-    assert part.n_blocks == 1
-    assert part.block_graph == (("l3", 0, 0),)
-    scen = parse_scenario({"horizon": 1, "risk": [[1.0]]}, part)
-    model = build_model(net, part, scen, "original")
-    sol = solve_milp(model)
-    assert sol.status == "optimal"
-    zetas = {
-        lid: round(sol.values[model.series["zeta", lid][0]])
-        for lid in ("l1", "l2", "l3")
-    }
-    # exactly |N| - 1 = 2 tree edges; the fixed lines are forced in, so
-    # the switchable loop stays out and its switch cannot close
-    assert zetas == {"l1": 1, "l2": 1, "l3": 0}
-    assert round(sol.values[model.series["zsw", "l3"][0]]) == 0
+    with pytest.raises(ValidationError, match="l3 .*intra-block loop"):
+        NetworkModel(buses, lines, ders, (), loads)
 
 
 def test_star_commodity_flow_uses_single_arc():
