@@ -286,6 +286,22 @@ def test_bad_solver_limit_rejected(case_files, capsys, flag, value):
     assert err.startswith("error: ") and "limit must be" in err
 
 
+def test_node_limit_beyond_highs_int_rejected(case_files):
+    # HiGHS counts nodes in a 32-bit int, and scipy's binding raises a
+    # TypeError for a larger one
+    net, scen, _ = case_files
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridshed.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridshed.cli", "solve", "--net", net,
+         "--scen", scen, "--node-limit", str(2**31)],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: node limit must be in [0, 2147483647]")
+
+
 @pytest.mark.parametrize("values, token", [
     ("abc", "'abc'"), ("0.5:x:1", "'x'"), (",", "''"),
     ("0.5:0.1:inf", "must be finite"), ("nan:0.1:1", "must be finite"),

@@ -96,10 +96,66 @@ class TestSolveMilp:
         assert sol.best_bound == pytest.approx(10.5)
 
 
+class TestStatusMapping:
+    def test_unbounded_lp(self):
+        # min -x s.t. x - y <= 1: x and y rise together without end
+        model = make_model([-1.0, 0.0], [(0.0, math.inf)] * 2,
+                           [([0, 1], [1.0, -1.0], "<=", 1.0)])
+        sol = solve_lp(model)
+        assert sol.status == "unbounded"
+        assert sol.values is None
+
+    def test_unbounded_milp(self):
+        # every row is orthogonal to the all-ones ray, along which the cost
+        # falls without end; the origin is feasible, so HiGHS holds an
+        # incumbent when the root LP finds the ray
+        rows = [[5, 1, 2, 4, -12], [3, 4, -3, -5, 1], [-2, 4, 5, -5, -2],
+                [4, -4, 3, -4, 1], [3, -2, -2, -2, 3], [-3, 5, -1, 0, -1]]
+        model = make_model([-1.0] * 5, [(0.0, math.inf)] * 5,
+                           [(range(5), row, "<=", 2.0) for row in rows],
+                           binary={0})
+        sol = solve_milp(model)
+        assert sol.status == "unbounded"
+        assert sol.objective is None and sol.values is None
+        assert solve_lp(model).status == "unbounded"
+
+    KNAPSACK = dict(c=[-55.0, -61.0, -60.0, -48.0, -96.0, -48.0],
+                    bounds=[(0, 1)] * 6,
+                    rows=[(range(6), [50.0, 58.0, 56.0, 40.0, 95.0, 43.0],
+                           "<=", 171.0)],
+                    binary=set(range(6)))
+    # at this gap target the root node leaves the knapsack open
+    GAP = 1e-9
+
+    def test_knapsack_needs_branching(self):
+        sol = solve_milp(make_model(**self.KNAPSACK),
+                         SolverOptions(gap_target=self.GAP))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-176.0)
+        assert sol.stats["nodes"] > 1
+
+    def test_node_limit_with_incumbent(self):
+        sol = solve_milp(make_model(**self.KNAPSACK),
+                         SolverOptions(gap_target=self.GAP, node_limit=1))
+        assert sol.status == "limit"
+        assert sol.objective == pytest.approx(-176.0)
+        assert sol.best_bound < sol.objective
+        assert sol.gap > 1e-4
+        assert list(np.round(sol.values)) == [1, 1, 1, 0, 0, 0]
+        assert sol.stats["nodes"] == 1
+
+    def test_node_limit_without_incumbent(self):
+        sol = solve_milp(make_model(**self.KNAPSACK),
+                         SolverOptions(gap_target=self.GAP, node_limit=0))
+        assert sol.status == "limit"
+        assert sol.objective is None and sol.values is None
+        assert sol.gap == math.inf
+
+
 @pytest.mark.parametrize("option, value", [
     ("gap_target", 0.0), ("gap_target", 1.0), ("gap_target", math.nan),
     ("time_limit", -1.0), ("time_limit", math.nan), ("time_limit", math.inf),
-    ("node_limit", -1),
+    ("node_limit", -1), ("node_limit", 2**31),
 ])
 def test_invalid_options_rejected(option, value):
     with pytest.raises(DomainError, match="must be"):
@@ -211,3 +267,37 @@ def test_monotone_tightening():
             break
         assert sol.objective >= prev - 1e-7
         prev = sol.objective
+
+
+def test_highs_binding_pinned():
+    """``solver`` calls HiGHS through scipy's private binding; a scipy
+    release that renames one of the names it reads, or drops an option it
+    sets, must fail here rather than run with, say, Feasibility Jump back
+    on."""
+    from gridshed import solver
+
+    core = solver._core
+    for name in ("_Highs", "HighsLp", "HighsVarType", "MatrixFormat",
+                 "HighsModelStatus", "HighsStatus"):
+        assert hasattr(core, name), name
+    assert hasattr(core.MatrixFormat, "kColwise")
+    for member in ("kContinuous", "kInteger"):
+        assert hasattr(core.HighsVarType, member), member
+    for member in ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible",
+                   "kUnbounded", "kTimeLimit", "kIterationLimit",
+                   "kSolutionLimit"):
+        assert getattr(core.HighsModelStatus, member) in solver._STATUS, member
+    for member in ("kOk", "kError"):
+        assert hasattr(core.HighsStatus, member), member
+    info = core._Highs().getInfo()
+    for field in ("objective_function_value", "mip_dual_bound",
+                  "mip_node_count"):
+        assert hasattr(info, field), field
+
+    options = solver._mip_options(SolverOptions(time_limit=5.0, node_limit=7))
+    assert options["mip_heuristic_run_feasibility_jump"] is False
+    assert solver._QUIET.items() <= options.items()
+    highs = core._Highs()
+    for name, value in options.items():
+        assert highs.setOptionValue(name, value) == core.HighsStatus.kOk, name
+        assert highs.getOptionValue(name) == (core.HighsStatus.kOk, value), name
