@@ -269,7 +269,7 @@ def sweep_beta(net: NetworkModel, scen: Scenario, values,
                workers: int = 1) -> SweepResult:
     """Re-solve across uniform pairwise shed-ratio caps (inf allowed)."""
     for v in values:
-        if not (math.isinf(v) or v >= 1):
+        if not v >= 1:
             raise DomainError(f"beta {v} must be >= 1 or inf")
     part = compute_load_blocks(net)
 

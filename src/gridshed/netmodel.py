@@ -25,6 +25,44 @@ MODES = ("original", "equitable")
 _MAX_HORIZON = 10_000
 
 
+# Each network record below reads one JSON object: a field is read from
+# the key of its name with the reader of its type (``_READERS``) unless
+# its metadata names another "key" or "read", and is required exactly when
+# it has no default.
+
+
+def _numeric(value, where: str) -> float:
+    # json.load reads NaN and Infinity, which every range check would let
+    # through, and integers too large for a float
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = INF
+        if math.isfinite(number):
+            return number
+    raise ParseError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _text(value, where: str) -> str:
+    return str(value)
+
+
+def _flag(value, where: str) -> bool:
+    if value is not True and value is not False:
+        raise ParseError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _unlimited(value, where: str) -> float:
+    """A ramp limit: null means unlimited."""
+    return INF if value is None else _numeric(value, where)
+
+
+def _optional(value, where: str):
+    return None if value is None else _numeric(value, where)
+
+
 @dataclass(frozen=True, slots=True)
 class Bus:
     id: str
@@ -36,10 +74,10 @@ class Bus:
 @dataclass(frozen=True, slots=True)
 class Line:
     id: str
-    from_bus: str
-    to_bus: str
-    resistance: float = 0.0
-    reactance: float = 0.0
+    from_bus: str = field(metadata={"key": "from"})
+    to_bus: str = field(metadata={"key": "to"})
+    resistance: float = field(default=0.0, metadata={"key": "r"})
+    reactance: float = field(default=0.0, metadata={"key": "x"})
     p_min: float = -1e3
     p_max: float = 1e3
     q_min: float = -1e3
@@ -62,8 +100,8 @@ class Der:
     p_max: float = 0.0
     q_min: float = 0.0
     q_max: float = 0.0
-    ramp_up: float = INF
-    ramp_down: float = INF
+    ramp_up: float = field(default=INF, metadata={"read": _unlimited})
+    ramp_down: float = field(default=INF, metadata={"read": _unlimited})
     can_grid_form: bool = False
     dispatchable: bool = True
 
@@ -198,19 +236,6 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _numeric(value, where: str) -> float:
-    # json.load reads NaN and Infinity, which every range check would let
-    # through, and integers too large for a float
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = INF
-        if math.isfinite(number):
-            return number
-    raise ParseError(f"{where}: expected a finite number, got {value!r}")
-
-
 def _is_count(value) -> bool:
     """A JSON integer; booleans are ints to Python but not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -228,79 +253,17 @@ def _count(value, name: str, low: int = 0, high: int = sys.maxsize) -> int:
     return value
 
 
-def _text(value, where: str) -> str:
-    return str(value)
-
-
-def _flag(value, where: str) -> bool:
-    if value is not True and value is not False:
-        raise ParseError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _unlimited(value, where: str) -> float:
-    """A ramp limit: null means unlimited."""
-    return INF if value is None else _numeric(value, where)
-
-
-def _optional(value, where: str):
-    return None if value is None else _numeric(value, where)
-
-
-# Network collection -> (record type, name in messages, (JSON key, field,
-# reader) per field).  A field is required exactly when its dataclass
-# field has no default.
-NETWORK_RECORDS = {
-    "buses": (Bus, "bus", (
-        ("id", "id", _text),
-        ("is_substation", "is_substation", _flag),
-        ("v_min", "v_min", _numeric),
-        ("v_max", "v_max", _numeric),
-    )),
-    "lines": (Line, "line", (
-        ("id", "id", _text),
-        ("from", "from_bus", _text),
-        ("to", "to_bus", _text),
-        ("r", "resistance", _numeric),
-        ("x", "reactance", _numeric),
-        ("p_min", "p_min", _numeric),
-        ("p_max", "p_max", _numeric),
-        ("q_min", "q_min", _numeric),
-        ("q_max", "q_max", _numeric),
-        ("switchable", "switchable", _flag),
-    )),
-    "ders": (Der, "der", (
-        ("id", "id", _text),
-        ("bus", "bus", _text),
-        ("p_min", "p_min", _numeric),
-        ("p_max", "p_max", _numeric),
-        ("q_min", "q_min", _numeric),
-        ("q_max", "q_max", _numeric),
-        ("ramp_up", "ramp_up", _unlimited),
-        ("ramp_down", "ramp_down", _unlimited),
-        ("can_grid_form", "can_grid_form", _flag),
-        ("dispatchable", "dispatchable", _flag),
-    )),
-    "storage": (Storage, "storage", (
-        ("id", "id", _text),
-        ("bus", "bus", _text),
-        ("e_max", "e_max", _numeric),
-        ("p_charge_max", "p_charge_max", _numeric),
-        ("p_discharge_max", "p_discharge_max", _numeric),
-        ("eta_charge", "eta_charge", _numeric),
-        ("eta_discharge", "eta_discharge", _numeric),
-        ("e_initial", "e_initial", _optional),
-    )),
-    "loads": (LoadPoint, "load", (
-        ("id", "id", _text),
-        ("bus", "bus", _text),
-        ("p_min", "p_min", _numeric),
-        ("p_max", "p_max", _numeric),
-        ("q_min", "q_min", _numeric),
-        ("q_max", "q_max", _numeric),
-    )),
+# Network collection -> (record type, name in messages)
+_RECORDS = {
+    "buses": (Bus, "bus"),
+    "lines": (Line, "line"),
+    "ders": (Der, "der"),
+    "storage": (Storage, "storage"),
+    "loads": (LoadPoint, "load"),
 }
 
+# The reader of a record field of each type
+_READERS = {str: _text, bool: _flag, float: _numeric, float | None: _optional}
 
 # The type a reader returns unchanged.  A value already of that type (and
 # finite, for numbers) is stored without calling the reader.
@@ -308,21 +271,20 @@ _RETURNS_UNCHANGED = {_numeric: float, _unlimited: float, _optional: float,
                       _text: str, _flag: bool}
 
 
-def _compile(cls, where: str, entries: tuple) -> tuple:
+def _compile(cls, where: str) -> tuple:
     """(record type, where, (key, reader, type it keeps, message path,
     default or MISSING) per field), worked out once so parsing touches no
     dataclass metadata."""
-    default = {
-        f.name: f.default for f in fields(cls) if f.default is not MISSING
-    }
-    return cls, where, tuple(
-        (key, read, _RETURNS_UNCHANGED[read], f"{where}.{key}",
-         default.get(attr, MISSING))
-        for key, attr, read in entries
-    )
+    entries = []
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        read = f.metadata.get("read", _READERS[f.type])
+        entries.append((key, read, _RETURNS_UNCHANGED[read], f"{where}.{key}",
+                        f.default))
+    return cls, where, tuple(entries)
 
 
-_COMPILED = {name: _compile(*spec) for name, spec in NETWORK_RECORDS.items()}
+_COMPILED = {name: _compile(*spec) for name, spec in _RECORDS.items()}
 
 
 def _read_record(raw, where: str, entries: tuple) -> list:
@@ -367,6 +329,20 @@ def _check_mode(mode: str) -> None:
         raise ModelError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+def _placed(net: NetworkModel, name: str, known: set):
+    """The unit records of collection ``name`` in order, each yielded once
+    its id is unique so far and its bus is known."""
+    what = _RECORDS[name][1]
+    seen = set()
+    for unit in getattr(net, name):
+        if unit.id in seen:
+            raise ValidationError(f"duplicate {what} id {unit.id}")
+        seen.add(unit.id)
+        if unit.bus not in known:
+            raise ValidationError(f"{what} {unit.id}: unknown bus {unit.bus}")
+        yield unit
+
+
 def validate_network(net: NetworkModel) -> None:
     """Raise ValidationError naming the first violated invariant, else
     store the load-block partition on ``net``."""
@@ -398,13 +374,7 @@ def validate_network(net: NetworkModel) -> None:
         if l.p_min > l.p_max or l.q_min > l.q_max:
             raise ValidationError(f"line {l.id}: empty flow bounds")
 
-    seen = set()
-    for d in net.ders:
-        if d.id in seen:
-            raise ValidationError(f"duplicate der id {d.id}")
-        seen.add(d.id)
-        if d.bus not in known:
-            raise ValidationError(f"der {d.id}: unknown bus {d.bus}")
+    for d in _placed(net, "ders", known):
         if d.p_min > d.p_max or d.q_min > d.q_max:
             raise ValidationError(f"der {d.id}: empty output bounds")
         if d.ramp_up < 0 or d.ramp_down < 0:
@@ -414,13 +384,7 @@ def validate_network(net: NetworkModel) -> None:
                 f"der {d.id}: non-dispatchable units need pinned (equal) bounds"
             )
 
-    seen = set()
-    for s in net.storage:
-        if s.id in seen:
-            raise ValidationError(f"duplicate storage id {s.id}")
-        seen.add(s.id)
-        if s.bus not in known:
-            raise ValidationError(f"storage {s.id}: unknown bus {s.bus}")
+    for s in _placed(net, "storage", known):
         if s.e_max < 0 or s.p_charge_max < 0 or s.p_discharge_max < 0:
             raise ValidationError(f"storage {s.id}: negative rating")
         if not (0 < s.eta_charge <= 1) or not (0 < s.eta_discharge <= 1):
@@ -428,13 +392,7 @@ def validate_network(net: NetworkModel) -> None:
         if not (0 <= s.initial_energy <= s.e_max):
             raise ValidationError(f"storage {s.id}: initial energy outside [0, e_max]")
 
-    seen = set()
-    for ld in net.loads:
-        if ld.id in seen:
-            raise ValidationError(f"duplicate load id {ld.id}")
-        seen.add(ld.id)
-        if ld.bus not in known:
-            raise ValidationError(f"load {ld.id}: unknown bus {ld.bus}")
+    for ld in _placed(net, "loads", known):
         if ld.p_min > ld.p_max or ld.q_min > ld.q_max:
             raise ValidationError(f"load {ld.id}: empty demand bounds")
 

@@ -51,7 +51,7 @@ _QUIET = {"log_to_console": False}
 _STATUS = {
     _core.HighsModelStatus.kOptimal: "optimal",
     _core.HighsModelStatus.kInfeasible: "infeasible",
-    _core.HighsModelStatus.kUnboundedOrInfeasible: "infeasible",
+    _core.HighsModelStatus.kUnboundedOrInfeasible: "unbounded or infeasible",
     _core.HighsModelStatus.kUnbounded: "unbounded",
     _core.HighsModelStatus.kTimeLimit: "limit",
     _core.HighsModelStatus.kIterationLimit: "limit",
@@ -131,25 +131,46 @@ def _highs(model: MilpModel, lo: np.ndarray, hi: np.ndarray,
     if is_mip:
         kinds = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
         lp.integrality_ = [kinds[i] for i in integrality.tolist()]
-    _check(h.passModel(lp), "passModel")
-    _check(h.run(), "run")
-
-    info = h.getInfo()
-    status = _STATUS.get(h.getModelStatus())
-    if status is None:
-        raise NumericalError(
-            f"HiGHS ended with {h.modelStatusToString(h.getModelStatus())}")
-    objective = info.objective_function_value
-    solved = status == "optimal" or (
-        status == "limit" and is_mip and math.isfinite(objective))
-    if not solved:
+    status = _run(h, lp)
+    if status == "unbounded or infeasible":
+        # HiGHS names neither while it knows no feasible point.  The same
+        # rows with a zero objective have one exactly when the problem is
+        # unbounded, not infeasible.
+        lp.col_cost_ = np.zeros(model.num_vars)
+        status = _run(h, lp)
+        if _has_solution(h, status, is_mip):
+            status = "unbounded"
+        elif status not in ("infeasible", "limit"):
+            raise NumericalError(f"HiGHS ended with {status} on a zero objective")
         return status, None, None, None, 0
-    objective = float(objective) + model.objective_constant
+    if not _has_solution(h, status, is_mip):
+        return status, None, None, None, 0
+    info = h.getInfo()
+    objective = float(info.objective_function_value) + model.objective_constant
     values = np.asarray(h.getSolution().col_value)
     if not is_mip:
         return status, objective, objective, values, 0
     bound = float(info.mip_dual_bound) + model.objective_constant
     return status, objective, bound, values, int(info.mip_node_count)
+
+
+def _run(h, lp) -> str:
+    """Pass ``lp`` to ``h``, run it and read how it ended."""
+    _check(h.passModel(lp), "passModel")
+    _check(h.run(), "run")
+    status = _STATUS.get(h.getModelStatus())
+    if status is None:
+        raise NumericalError(
+            f"HiGHS ended with {h.modelStatusToString(h.getModelStatus())}")
+    return status
+
+
+def _has_solution(h, status: str, is_mip: bool) -> bool:
+    """Whether the run holds a solution: an optimum, or an incumbent of a
+    MIP stopped at a limit."""
+    return status == "optimal" or (
+        status == "limit" and is_mip
+        and math.isfinite(h.getInfo().objective_function_value))
 
 
 def _check(status, what: str):

@@ -190,6 +190,7 @@ def test_criterion_3_oracle_equivalence():
           f"{infeasible} infeasible agreed, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_epsilon_monotonicity(desk_case):
     """Loosening the risk cap never worsens the served-energy optimum on
     the larger system; shed counts are reported alongside."""
@@ -211,6 +212,7 @@ def test_criterion_4_epsilon_monotonicity(desk_case):
           f"total sheds {sheds} (reported), {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_pairwise_ratio_caps(desk_case):
     """Uniform pairwise shed-ratio caps hold on every returned schedule,
     recounted from raw statuses; the tightest feasible cap also bounds
@@ -247,6 +249,7 @@ def test_criterion_5_pairwise_ratio_caps(desk_case):
           f"{[(p.value, p.status) for p in result.points]}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_radiality_and_forming(microgrid_case):
     """Energized components are trees with exactly one forming reference
     or a substation path, checked graph-theoretically on representative

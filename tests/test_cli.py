@@ -233,6 +233,18 @@ def test_sweep_beta_values_list(case_files, capsys):
     assert len(rows) == 3
 
 
+def test_sweep_beta_rejects_negative_infinity(case_files, capsys):
+    net, scen, _ = case_files
+    code, out, err = run_cli(
+        capsys, "sweep", "--net", net, "--scen", scen,
+        "--param", "beta", "--values=-inf,inf",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: beta -inf must be >= 1 or inf")
+    assert "Traceback" not in err
+
+
 def test_sweep_unknown_param(case_files, capsys):
     net, scen, _ = case_files
     code, _, err = run_cli(capsys, "sweep", "--net", net, "--scen", scen,

@@ -18,7 +18,7 @@ from gridshed import (
     parse_scenario,
 )
 from gridshed.instances import thirteen_bus_network, thirteen_bus_scenario
-from gridshed.netmodel import NETWORK_RECORDS
+from gridshed.netmodel import Bus, Der, Line, LoadPoint, Storage
 
 from conftest import unschedulable_network
 
@@ -110,13 +110,48 @@ class TestLoadNetwork:
             parse_network(doc)
 
 
+# Per collection, one record that sets every JSON key to a value other
+# than its field's default, and the record it must parse to.
+FULL_RECORDS = {
+    "buses": (
+        {"id": "b1", "is_substation": True, "v_min": 0.9, "v_max": 1.1},
+        Bus("b1", True, 0.9, 1.1)),
+    "lines": (
+        {"id": "l1", "from": "b1", "to": "b2", "r": 0.01, "x": 0.02,
+         "p_min": -5.0, "p_max": 6.0, "q_min": -3.0, "q_max": 4.0,
+         "switchable": True},
+        Line("l1", "b1", "b2", 0.01, 0.02, -5.0, 6.0, -3.0, 4.0, True)),
+    "ders": (
+        {"id": "g1", "bus": "b2", "p_min": 0.3, "p_max": 0.3, "q_min": 0.1,
+         "q_max": 0.1, "ramp_up": 0.5, "ramp_down": 0.25,
+         "can_grid_form": True, "dispatchable": False},
+        Der("g1", "b2", 0.3, 0.3, 0.1, 0.1, 0.5, 0.25, True, False)),
+    "storage": (
+        {"id": "s1", "bus": "b2", "e_max": 2.0, "p_charge_max": 1.0,
+         "p_discharge_max": 0.5, "eta_charge": 0.9, "eta_discharge": 0.95,
+         "e_initial": 0.5},
+        Storage("s1", "b2", 2.0, 1.0, 0.5, 0.9, 0.95, 0.5)),
+    "loads": (
+        {"id": "d1", "bus": "b2", "p_min": 0.1, "p_max": 0.2, "q_min": 0.01,
+         "q_max": 0.05},
+        LoadPoint("d1", "b2", 0.1, 0.2, 0.01, 0.05)),
+}
+
+
 class TestRecordTables:
-    @pytest.mark.parametrize("name", list(NETWORK_RECORDS))
-    def test_table_covers_every_read_field(self, name):
-        cls, _, entries = NETWORK_RECORDS[name]
-        assert [attr for _, attr, _ in entries] == [
-            f.name for f in dataclasses.fields(cls)
-        ]
+    @pytest.mark.parametrize("name", list(FULL_RECORDS))
+    def test_every_key_reaches_its_field(self, name):
+        raw, expected = FULL_RECORDS[name]
+        assert all(getattr(expected, f.name) != f.default
+                   for f in dataclasses.fields(expected))
+        base = {"buses": [{"id": "b1", "is_substation": True}, {"id": "b2"}],
+                "lines": [{"id": "l1", "from": "b1", "to": "b2"}]}
+        # the record under test takes the place of its collection's first
+        doc = {**base, name: [raw, *base.get(name, [])[1:]]}
+        record = getattr(parse_network(doc), name)[0]
+        assert record == expected
+        assert (list(map(type, dataclasses.astuple(record)))
+                == list(map(type, dataclasses.astuple(expected))))
 
     @pytest.mark.parametrize("collection, record_id, key", [
         ("lines", "l05", "switchable"),

@@ -119,6 +119,35 @@ class TestStatusMapping:
         assert sol.objective is None and sol.values is None
         assert solve_lp(model).status == "unbounded"
 
+    @staticmethod
+    def ray_toy(seed, extra_rows=()):
+        """5 nonnegative columns, the first 1-5 of them integer, and 6
+        random rows orthogonal to the all-ones ray, along which the cost
+        falls without end; the origin is feasible."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-5, 6, size=(6, 5)).astype(float)
+        rows[:, -1] -= rows.sum(axis=1)
+        integer = set(range(int(rng.integers(1, 6))))
+        return make_model([-1.0] * 5, [(0.0, math.inf)] * 5,
+                          [(range(5), row, "<=", 2.0) for row in rows]
+                          + list(extra_rows), binary=integer)
+
+    def test_unbounded_milp_without_incumbent(self):
+        # HiGHS ends most of these knowing no feasible point, as
+        # kUnboundedOrInfeasible
+        statuses = [solve_milp(self.ray_toy(seed)).status
+                    for seed in range(60)]
+        assert statuses == ["unbounded"] * 60
+
+    def test_infeasible_milp_along_a_falling_ray(self):
+        # x0 - x1 >= 1 and x0 - x1 <= -1 leave no point, while the cost
+        # still falls along the all-ones ray
+        clash = [([0, 1], [1.0, -1.0], ">=", 1.0),
+                 ([0, 1], [1.0, -1.0], "<=", -1.0)]
+        statuses = [solve_milp(self.ray_toy(seed, clash)).status
+                    for seed in range(60)]
+        assert statuses == ["infeasible"] * 60
+
     KNAPSACK = dict(c=[-55.0, -61.0, -60.0, -48.0, -96.0, -48.0],
                     bounds=[(0, 1)] * 6,
                     rows=[(range(6), [50.0, 58.0, 56.0, 40.0, 95.0, 43.0],
