@@ -9,6 +9,8 @@ period) with the offending left/right-hand sides.
 Each family is a few array operations over (entity × period) matrices.
 Each check stacks the schedule's series once and builds the network's
 incidence, block-index and bound arrays from ``netmodel`` objects alone.
+Each gated family checks its own series against its gate: zero where the
+gate is off, within bounds where it is on.
 Records are made only where a family's mask is true, ordered by entity,
 then period, then sub-check.
 
@@ -130,14 +132,6 @@ class ViolationReport:
         }
 
 
-# The gated dispatch families: (family, series, network collection).
-_GATED = (
-    ("voltage_gating", ("voltage_sq",), "buses"),
-    ("gen_gating", ("pg", "qg"), "ders"),
-    ("load_gating", ("pd", "qd"), "loads"),
-)
-
-
 # The fields the checks read from the entities of each collection.
 _FIELDS = {
     "buses": ("id", "v_min", "v_max"),
@@ -150,21 +144,6 @@ _FIELDS = {
                 "eta_discharge", "p_charge_max", "p_discharge_max"),
 }
 _UNITS = ("ders", "loads", "storage")
-
-# Series that must be zero when their gate is off and within bounds when
-# it is on: (collection, lower bound field, upper bound field).  They are
-# adjacent in SERIES order, so their rows are one block of the stacked
-# series.
-_GATED_BOUNDS = {
-    "pg": ("ders", "p_min", "p_max"),
-    "qg": ("ders", "q_min", "q_max"),
-    "pd": ("loads", "p_min", "p_max"),
-    "qd": ("loads", "q_min", "q_max"),
-    "flow_p": ("lines", "p_min", "p_max"),
-    "flow_q": ("lines", "q_min", "q_max"),
-    "voltage_sq": ("buses", "v_min_sq", "v_max_sq"),
-}
-_GATED_SERIES = tuple(name for name, *_ in SERIES if name in _GATED_BOUNDS)
 _STATUS = np.array([status for *_, status in SERIES])
 
 
@@ -190,9 +169,6 @@ class _NetworkArrays:
         col = {name: _read_fields(getattr(net, name), fields)
                for name, fields in _FIELDS.items()}
         buses, lines = col["buses"], col["lines"]
-        # squares are taken in Python, as the one-entity formulas did
-        buses["v_min_sq"] = tuple(v ** 2 for v in buses["v_min"])
-        buses["v_max_sq"] = tuple(v ** 2 for v in buses["v_max"])
         self.ids = {name: c["id"] for name, c in col.items()}
         self.known = {name: frozenset(ids) for name, ids in self.ids.items()}
         bus_ids = self.ids["buses"]
@@ -230,6 +206,14 @@ class _NetworkArrays:
         self.resistance, self.reactance, switchable = _numbers(
             lines, "resistance", "reactance", "switchable")
         self.fixed = switchable == 0
+        # squares are taken in Python, as the one-entity formulas did
+        self.v_min_sq, self.v_max_sq = np.array(
+            [[v ** 2 for v in buses["v_min"]],
+             [v ** 2 for v in buses["v_max"]]], dtype=float)[:, :, None]
+        # (p_min, p_max, q_min, q_max) of each line, DER and load
+        self.pq_bounds = {
+            name: _numbers(col[name], "p_min", "p_max", "q_min", "q_max")
+            for name in ("lines", "ders", "loads")}
         self.ramp_up, self.ramp_down, can_form = _numbers(
             col["ders"], "ramp_up", "ramp_down", "can_grid_form")
         self.can_form = can_form != 0
@@ -258,20 +242,6 @@ class _NetworkArrays:
             for entry, n, stop in zip(SERIES, counts, accumulate(counts))
         }
         self.status_rows = np.repeat(_STATUS, counts)[:, None]
-
-        # Per row of the gated block: its bounds and the row of [block
-        # statuses; switch statuses] that gates it.
-        self.gated = slice(self.rows[_GATED_SERIES[0]].start,
-                           self.rows[_GATED_SERIES[-1]].stop)
-        gated = [_GATED_BOUNDS[name] for name in _GATED_SERIES]
-        self.gate_lo, self.gate_hi = np.array(
-            [list(chain.from_iterable(col[e][lo] for e, lo, _ in gated)),
-             list(chain.from_iterable(col[e][hi] for e, _, hi in gated))],
-            dtype=float)[:, :, None]
-        switch_rows = part.n_blocks + np.arange(n_line)
-        self.gate_row = np.concatenate([
-            switch_rows if entities == "lines" else self.block[entities]
-            for entities, *_ in gated])
 
 
 def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
@@ -309,9 +279,9 @@ def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
 
 def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
     """Every series family of the schedule as an (entities, T) matrix in
-    network order, keyed by field name, and the block of gated rows under
-    "gated": views into one matrix that stacks them all.  Raise
-    DimensionError when the schedule does not match the inputs."""
+    network order, keyed by field name: views into one matrix that stacks
+    them all, plus the block statuses.  Raise DimensionError when the
+    schedule does not match the inputs."""
     T = scen.horizon
     n_blocks = a.part.n_blocks
     if sched.horizon != T:
@@ -335,7 +305,6 @@ def _stack_series(a: _NetworkArrays, scen: Scenario, sched: Schedule) -> dict:
                              else f"{name}: non-finite value")
     stacked = {name: values[span] for name, span in a.rows.items()}
     stacked["block_status"] = sched.block_status
-    stacked["gated"] = values[a.gated]
     return stacked
 
 
@@ -399,50 +368,12 @@ def _residual(family, value, tol, where=None, suffix=""):
             0.0, True)
 
 
-def _gates(a: _NetworkArrays, s: dict, scen: Scenario):
-    """Every gated series must be zero where its gate is off and within
-    [lo, hi] where it is on.  The checks of all of them at once, as
-    (x, lo, hi, off, above, below) over the block of gated rows and the
-    set of rows that fail one, or None when none fails."""
-    x = s["gated"]
-    live = np.concatenate((s["block_status"] != 0,
-                           s["switch_status"] == 1))[a.gate_row]
-    # demand bounds (the adjacent pd and qd rows) follow the multiplier;
-    # other bounds are scaled by 1
-    scale = np.ones(x.shape)
-    scale[_gated_rows(a, "pd").start:_gated_rows(a, "qd").stop] = (
-        scen.demand_multiplier)
-    lo, hi = a.gate_lo * scale, a.gate_hi * scale
-    off = (np.abs(x) > RESIDUAL_TOL) & ~live
-    above = (x > hi + RESIDUAL_TOL) & live
-    below = (lo > x + RESIDUAL_TOL) & live
-    failed = np.count_nonzero(off | above | below, axis=1)
-    if not np.count_nonzero(failed):
-        return None
-    return (x, lo, hi, off, above, below), set(np.flatnonzero(failed).tolist())
-
-
-def _gated_rows(a: _NetworkArrays, name: str) -> slice:
-    """The rows of gated series ``name`` within the gated block."""
-    rows, first = a.rows[name], a.gated.start
-    return slice(rows.start - first, rows.stop - first)
-
-
-def _gated(family: str, a: _NetworkArrays, s: dict, names) -> list:
-    """The gating checks of those series ``names`` with a failing row."""
-    if s["gates"] is None:
-        return []
-    masks, failed = s["gates"]
-    checks = []
-    for name in names:
-        rows = _gated_rows(a, name)
-        if failed.isdisjoint(range(rows.start, rows.stop)):
-            continue
-        x, lo, hi, off, above, below = (m[rows] for m in masks)
-        checks += [(family, "", off, x, 0.0, True),
-                   (family, "", above, x, hi, False),
-                   (family, "", below, lo, x, False)]
-    return checks
+def _gate(family, x, on, lo, hi):
+    """Check that x is zero where ``on`` is false and within [lo, hi]
+    where it is true."""
+    return [_residual(family, x, RESIDUAL_TOL, ~on),
+            _breach(family, x, hi, RESIDUAL_TOL, on),
+            _breach(family, lo, x, RESIDUAL_TOL, on)]
 
 
 def _at(x, e: int, t: int):
@@ -476,7 +407,6 @@ def verify_schedule(net: NetworkModel, part: BlockPartition, scen: Scenario,
     _check_mode(mode)
     a = _NetworkArrays(net, part)
     s = _stack_series(a, scen, sched)
-    s["gates"] = _gates(a, s, scen)
     out: list = []
     _per_period(out, scen, s["block_status"],
                 (s["switch_status"][a.switches] == 0).sum(axis=0))
@@ -604,8 +534,23 @@ def _islands(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
 
 
 def _gating(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
-    for family, names, entities in _GATED:
-        _emit(out, a.ids[entities], _gated(family, a, s, names))
+    """Voltage, generation and demand are zero in a dead block and within
+    their bounds in a live one; demand bounds follow the multiplier."""
+    live = s["block_status"] != 0
+    _emit(out, a.ids["buses"],
+          _gate("voltage_gating", s["voltage_sq"], live[a.block["buses"]],
+                a.v_min_sq, a.v_max_sq))
+    on = live[a.block["ders"]]
+    p_min, p_max, q_min, q_max = a.pq_bounds["ders"]
+    _emit(out, a.ids["ders"],
+          [*_gate("gen_gating", s["pg"], on, p_min, p_max),
+           *_gate("gen_gating", s["qg"], on, q_min, q_max)])
+    on = live[a.block["loads"]]
+    p_min, p_max, q_min, q_max = (a.pq_bounds["loads"]
+                                  * np.array(scen.demand_multiplier))
+    _emit(out, a.ids["loads"],
+          [*_gate("load_gating", s["pd"], on, p_min, p_max),
+           *_gate("load_gating", s["qd"], on, q_min, q_max)])
 
 
 def _ramping(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
@@ -618,15 +563,18 @@ def _ramping(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
 
 
 def _power_flow(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:
-    """Voltage drop along closed lines and flow gating on every line."""
+    """Voltage drop along closed lines, and flows that are zero on open
+    lines and within their bounds on closed ones."""
     live = s["switch_status"] == 1
     p, q, w = s["flow_p"], s["flow_q"], s["voltage_sq"]
     drop = w[a.line_to] - w[a.line_from] + 2.0 * (
         a.resistance * p + a.reactance * q
     )
+    p_min, p_max, q_min, q_max = a.pq_bounds["lines"]
     _emit(out, a.ids["lines"],
           [_residual("voltage_drop", drop, RESIDUAL_TOL, live),
-           *_gated("flow_gating", a, s, ("flow_p", "flow_q"))])
+           *_gate("flow_gating", p, live, p_min, p_max),
+           *_gate("flow_gating", q, live, q_min, q_max)])
 
 
 def _balance(out: list, a: _NetworkArrays, s: dict, scen: Scenario) -> None:

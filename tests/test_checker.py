@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridshed import (
     DimensionError,
@@ -31,6 +33,7 @@ from gridshed.instances import (
     thirteen_bus_network,
     thirteen_bus_scenario,
 )
+from gridshed.netmodel import UnionFind
 from gridshed.solver import solve_milp
 
 # a known-good shutoff rotation: emergency block 5 always on, at most
@@ -293,6 +296,61 @@ class TestVerifySchedule:
         assert np.array_equal(again.block_status, sched.block_status)
 
 
+# Each gated series: its check family, the network collection that keys
+# it, and the bounds of one of its entities.  Demand bounds are scaled by
+# the period's demand multiplier.
+GATED = {
+    "voltage_sq": ("voltage_gating", "buses",
+                   lambda b: (b.v_min ** 2, b.v_max ** 2)),
+    "pg": ("gen_gating", "ders", lambda d: (d.p_min, d.p_max)),
+    "qg": ("gen_gating", "ders", lambda d: (d.q_min, d.q_max)),
+    "pd": ("load_gating", "loads", lambda d: (d.p_min, d.p_max)),
+    "qd": ("load_gating", "loads", lambda d: (d.q_min, d.q_max)),
+    "flow_p": ("flow_gating", "lines", lambda l: (l.p_min, l.p_max)),
+    "flow_q": ("flow_gating", "lines", lambda l: (l.q_min, l.q_max)),
+}
+
+
+@pytest.mark.parametrize("breach", ["off", "above", "below"])
+@pytest.mark.parametrize("name", list(GATED))
+def test_gate_breach_is_reported_exactly(solved, name, breach):
+    """One value of a gated series, set to 0.25 where its gate is off or
+    0.5 past a bound where it is on, gives exactly one record of its
+    family, with lhs, rhs and breach bit-equal to the bounds' own."""
+    net, part, scen, sched = solved
+    family, collection, bounds = GATED[name]
+
+    def gate_on(entity, t):
+        if collection == "lines":
+            return sched.switch_status[entity.id][t] == 1
+        bus = entity.id if collection == "buses" else entity.bus
+        return sched.block_status[part.block_of_bus[bus], t] == 1
+
+    # the 13bus multipliers are not 1 in most periods; picking one of
+    # those pins the scaling of the demand bounds
+    entity, t = next(
+        (e, t) for e in getattr(net, collection) for t in range(scen.horizon)
+        if gate_on(e, t) == (breach != "off")
+        and scen.demand_multiplier[t] != 1.0)
+    lo, hi = bounds(entity)
+    if collection == "loads":
+        lo, hi = (b * scen.demand_multiplier[t] for b in (lo, hi))
+    x, expected = {
+        "off": (0.25, (0.25, 0.0, 0.25)),
+        "above": (hi + 0.5, (hi + 0.5, hi, hi + 0.5 - hi)),
+        "below": (lo - 0.5, (lo, lo - 0.5, lo - (lo - 0.5))),
+    }[breach]
+    series = {k: v.copy() for k, v in getattr(sched, name).items()}
+    series[entity.id][t] = x
+    bad = dataclasses.replace(sched, **{name: series})
+    report = verify_schedule(net, part, scen, bad, "equitable")
+    assert [(v.family, v.entity, v.period, v.lhs.hex(), v.rhs.hex(),
+             v.slack.hex())
+            for v in report.violations if v.family == family] == [
+        (family, entity.id, t, *(float(f).hex() for f in expected))
+    ]
+
+
 def _ones_to(doc, value):
     """Replace every 1 in a status grid or map of status series by
     ``value``, or every 0 and every 1 by the pair ``value``."""
@@ -492,3 +550,94 @@ def test_checker_never_imports_the_formulation():
             imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
     modules = {part for name in imported for part in name.split(".")}
     assert not modules & {"formulation", "solver"}, sorted(imported)
+
+
+@st.composite
+def switched_networks(draw):
+    """A valid network of at most 8 buses with random statuses over at
+    most 3 periods.  Its load blocks are trees of fixed lines; one switch
+    joins each new block to an earlier bus, and extra switches between
+    blocks add parallel switches and cycles.  Bus ids are shuffled, so
+    the lowest id need not be the substation or the first bus."""
+    n = draw(st.integers(1, 8))
+    names = draw(st.permutations([f"b{i}" for i in range(n)]))
+    block, lines = [0], []
+    for i in range(1, n):
+        block.append(draw(st.integers(0, max(block) + 1)))
+        same = [j for j in range(i) if block[j] == block[i]]
+        j = draw(st.sampled_from(same or range(i)))
+        lines.append((j, i, not same))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=4)):
+        if block[i] != block[j]:
+            lines.append((i, j, True))
+    ders = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                         max_size=4))
+    doc = {
+        "buses": [{"id": names[0], "is_substation": True}]
+        + [{"id": b} for b in names[1:]],
+        "lines": [{"id": f"l{k}", "from": names[i], "to": names[j],
+                   "switchable": sw} for k, (i, j, sw) in enumerate(lines)],
+        "ders": [{"id": f"g{k}", "bus": names[i], "can_grid_form": form}
+                 for k, (i, form) in enumerate(ders)],
+    }
+    T = draw(st.integers(1, 3))
+
+    def statuses(rows):
+        return draw(st.lists(st.lists(st.integers(0, 1), min_size=T,
+                                      max_size=T), min_size=rows,
+                             max_size=rows))
+
+    return doc, T, statuses(max(block) + 1), statuses(len(lines)), \
+        statuses(len(ders))
+
+
+@settings(max_examples=200, deadline=None)
+@given(switched_networks())
+def test_island_census_matches_union_find(case):
+    """Every island record equals one found by union-find over the closed
+    lines of each period: a live component that is not a tree fails
+    radiality, and one away from the substation whose forming-unit count
+    is not 1 fails grid_forming; each is named by its lowest bus id."""
+    doc, T, block_status, line_status, forming = case
+    net = parse_network(doc)
+    part = compute_load_blocks(net)
+    scen = parse_scenario({"horizon": T, "risk": [[0.0] * T] * part.n_blocks},
+                          part)
+    zeros = {name: {e.id: np.zeros(T) for e in getattr(net, collection)}
+             for name, section, collection, status in SERIES
+             if section == "dispatch"}
+    sched = Schedule(
+        horizon=T, block_status=np.array(block_status, dtype=int),
+        switch_status={l.id: np.array(s) for l, s in zip(net.lines,
+                                                         line_status)},
+        grid_forming={d.id: np.array(s) for d, s in zip(net.ders, forming)},
+        **zeros)
+    report = verify_schedule(net, part, scen, sched, "original")
+
+    expected = []
+    for t in range(T):
+        uf = UnionFind([b.id for b in net.buses])
+        for line, status in zip(net.lines, line_status):
+            if status[t]:
+                uf.union(line.from_bus, line.to_bus)
+        for members in uf.groups().values():
+            if not any(block_status[part.block_of_bus[b]][t] for b in members):
+                continue
+            root = uf.find(members[0])
+            edges = sum(s[t] for l, s in zip(net.lines, line_status)
+                        if uf.find(l.from_bus) == root)
+            formers = sum(s[t] for d, s in zip(net.ders, forming)
+                          if uf.find(d.bus) == root)
+            name = f"island[{min(members)}]"
+            if edges != len(members) - 1:
+                expected.append((t, name, 0, "radiality", 1.0, 0.0, 1.0))
+            if net.substation.id not in members and formers != 1:
+                expected.append((t, name, 1, "grid_forming", formers - 1.0,
+                                 0.0, abs(formers - 1.0)))
+    expected.sort()
+    assert [(v.family, v.entity, v.period, v.lhs, v.rhs, v.slack)
+            for v in report.violations if v.entity.startswith("island[")] == [
+        (family, name, t, lhs, rhs, slack)
+        for t, name, _, family, lhs, rhs, slack in expected
+    ]
