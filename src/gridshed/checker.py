@@ -7,8 +7,9 @@ exceptions: the report carries one record per violated (family, entity,
 period) with the offending left/right-hand sides.
 
 Each family is a few array operations over (entity × period) matrices.
-Each check stacks the schedule's series once and builds the network's
-incidence, block-index and bound arrays from ``netmodel`` objects alone.
+Each check stacks the schedule's series once.  The network's incidence,
+block-index and bound arrays are built from ``netmodel`` objects alone,
+once per (network, partition) pair of objects, and kept read-only.
 Each gated family checks its own series against its gate: zero where the
 gate is off, within bounds where it is on.
 Records are made only where a family's mask is true, ordered by entity,
@@ -27,7 +28,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .netmodel import BlockPartition, NetworkModel, Scenario, _check_mode
+from .netmodel import (BlockPartition, NetworkModel, Scenario, _check_mode,
+                       _Recent)
 
 RESIDUAL_TOL = 1e-6
 LOGIC_TOL = 1e-9
@@ -243,6 +245,26 @@ class _NetworkArrays:
         }
         self.status_rows = np.repeat(_STATUS, counts)[:, None]
 
+        # the arrays are shared by every later check of this pair
+        for value in vars(self).values():
+            for array in (value.values() if isinstance(value, dict)
+                          else (value,)):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+
+
+# The arrays of recent (network, partition) pairs, by their ids; each
+# entry holds both objects, so the ids stay theirs while it is kept.
+_ARRAYS = _Recent(8)
+
+
+def _arrays_of(net: NetworkModel, part: BlockPartition) -> _NetworkArrays:
+    key = (id(net), id(part))
+    entry = _ARRAYS.get(key)
+    if entry is None:
+        entry = _ARRAYS.put(key, (net, part, _NetworkArrays(net, part)))
+    return entry[2]
+
 
 def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):
     """Components of the closed lines in every period at once.
@@ -405,7 +427,7 @@ def verify_schedule(net: NetworkModel, part: BlockPartition, scen: Scenario,
                     sched: Schedule, mode: str = "equitable") -> ViolationReport:
     """Re-derive every constraint family and report all breaches."""
     _check_mode(mode)
-    a = _NetworkArrays(net, part)
+    a = _arrays_of(net, part)
     s = _stack_series(a, scen, sched)
     out: list = []
     _per_period(out, scen, s["block_status"],

@@ -8,10 +8,14 @@ All powers are MW/MVAr, energies MWh, voltages per-unit.
 """
 
 import json
+import marshal
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import starmap
+from types import MappingProxyType
 
 from .errors import (DimensionError, ModelError, ParseError, RangeError,
                      ValidationError)
@@ -163,7 +167,7 @@ class LoadBlock:
 @dataclass(frozen=True)
 class BlockPartition:
     blocks: tuple
-    block_of_bus: dict
+    block_of_bus: MappingProxyType  # read-only bus id -> block index
     # (switch line id, block i, block j) with i != j
     block_graph: tuple
 
@@ -306,8 +310,80 @@ def _read_record(raw, where: str, entries: tuple) -> list:
     return values
 
 
+class _Recent:
+    """Values under the ``size`` keys most recently used, safe to share
+    between threads."""
+
+    def __init__(self, size: int):
+        self._size = size
+        self._items = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        """Keep ``value`` under ``key`` unless another thread kept one
+        there first; return the kept value."""
+        with self._lock:
+            value = self._items.setdefault(key, value)
+            self._items.move_to_end(key)
+            if len(self._items) > self._size:
+                self._items.popitem(last=False)
+            return value
+
+
+# Parsed networks by the marshal bytes of their documents
+_PARSED = _Recent(8)
+_JSON_TYPES = frozenset({dict, list, str, int, float, bool, type(None)})
+
+
+def _plain(doc, budget: int) -> bool:
+    """Whether ``doc`` is a tree of at most ``budget`` objects, each of an
+    exact JSON type.  marshal writes each such object under its own type
+    code, so a document that marshals to the same bytes holds the same
+    values; but it writes any other buffer, a bytearray or a numpy float,
+    as bytes.  A tree marshals to at least a byte per object, so with the
+    key's length as budget only shared or cyclic containers overrun it."""
+    stack = [doc]
+    while stack:
+        budget -= 1
+        value = stack.pop()
+        kind = type(value)
+        if budget < 0 or kind not in _JSON_TYPES:
+            return False
+        if kind is dict:
+            stack += value
+            stack += value.values()
+        elif kind is list:
+            stack += value
+    return True
+
+
 def parse_network(data: dict) -> NetworkModel:
-    """Build and validate a NetworkModel from a parsed JSON document."""
+    """Build and validate a NetworkModel from a parsed JSON document.
+
+    Documents that marshal to the same bytes, such as two ``json.loads``
+    of one text, give one shared NetworkModel: the networks of the
+    documents most recently read are kept by those bytes.  Errors are not
+    kept, nor documents of other than JSON types."""
+    try:
+        key = marshal.dumps(data)
+    except ValueError:
+        return _parse_network(data)
+    net = _PARSED.get(key)
+    if net is None:
+        net = _parse_network(data)
+        if _plain(data, len(key)):
+            net = _PARSED.put(key, net)
+    return net
+
+
+def _parse_network(data: dict) -> NetworkModel:
     if not isinstance(data, dict):
         raise ParseError("network document must be a JSON object")
 
@@ -482,7 +558,7 @@ def _partition(net: NetworkModel, uf: UnionFind) -> BlockPartition:
         for l in net.lines
         if l.switchable
     )
-    return BlockPartition(tuple(blocks), block_of_bus, graph)
+    return BlockPartition(tuple(blocks), MappingProxyType(block_of_bus), graph)
 
 
 def _as_series(value, length: int, name: str) -> tuple:

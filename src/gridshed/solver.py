@@ -107,8 +107,10 @@ def _highs(model: MilpModel, lo: np.ndarray, hi: np.ndarray,
     Returns (status, objective, bound, values, nodes): status is
     ``optimal``, ``infeasible``, ``unbounded`` or ``limit``; objective and
     bound include the model's constant and, like values, are None without
-    a solution.  Nodes are counted only with a solution, and a pure LP has
-    no search: its bound is its objective and its node count 0.
+    a solution.  Nodes are the branch-and-bound nodes HiGHS searched, with
+    or without a solution, over both runs when the zero-objective re-run
+    (below) follows; a pure LP has no search: its bound is its objective
+    and its node count 0.
     """
     h = _core._Highs()
     for name, value in options.items():
@@ -132,26 +134,28 @@ def _highs(model: MilpModel, lo: np.ndarray, hi: np.ndarray,
         kinds = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
         lp.integrality_ = [kinds[i] for i in integrality.tolist()]
     status = _run(h, lp)
+    nodes = _nodes(h, is_mip)
     if status == "unbounded or infeasible":
         # HiGHS names neither while it knows no feasible point.  The same
         # rows with a zero objective have one exactly when the problem is
         # unbounded, not infeasible.
         lp.col_cost_ = np.zeros(model.num_vars)
         status = _run(h, lp)
+        nodes += _nodes(h, is_mip)
         if _has_solution(h, status, is_mip):
             status = "unbounded"
         elif status not in ("infeasible", "limit"):
             raise NumericalError(f"HiGHS ended with {status} on a zero objective")
-        return status, None, None, None, 0
+        return status, None, None, None, nodes
     if not _has_solution(h, status, is_mip):
-        return status, None, None, None, 0
+        return status, None, None, None, nodes
     info = h.getInfo()
     objective = float(info.objective_function_value) + model.objective_constant
     values = np.asarray(h.getSolution().col_value)
     if not is_mip:
         return status, objective, objective, values, 0
     bound = float(info.mip_dual_bound) + model.objective_constant
-    return status, objective, bound, values, int(info.mip_node_count)
+    return status, objective, bound, values, nodes
 
 
 def _run(h, lp) -> str:
@@ -163,6 +167,11 @@ def _run(h, lp) -> str:
         raise NumericalError(
             f"HiGHS ended with {h.modelStatusToString(h.getModelStatus())}")
     return status
+
+
+def _nodes(h, is_mip: bool) -> int:
+    """The nodes the last run searched; HiGHS reads -1 for a pure LP."""
+    return int(h.getInfo().mip_node_count) if is_mip else 0
 
 
 def _has_solution(h, status: str, is_mip: bool) -> bool:

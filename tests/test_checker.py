@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gridshed import (
     verify_schedule,
 )
 from gridshed.analysis import extract_schedule, schedule_objective
-from gridshed.checker import SERIES, _per_period, equity_violations
+from gridshed.checker import SERIES, _arrays_of, _per_period, equity_violations
 from gridshed.instances import (
     desk_network,
     desk_scenario,
@@ -33,7 +34,7 @@ from gridshed.instances import (
     thirteen_bus_network,
     thirteen_bus_scenario,
 )
-from gridshed.netmodel import UnionFind
+from gridshed.netmodel import BlockPartition, LoadBlock, UnionFind
 from gridshed.solver import solve_milp
 
 # a known-good shutoff rotation: emergency block 5 always on, at most
@@ -287,6 +288,38 @@ class TestVerifySchedule:
         assert [(v.family, v.entity, v.period) for v in report.violations] == [
             ("fixed_line", "l05", 0)
         ]
+
+    def test_network_arrays_are_read_only(self, solved):
+        net, part, scen, sched = solved
+        verify_schedule(net, part, scen, sched, "equitable")
+        arrays = [array for value in vars(_arrays_of(net, part)).values()
+                  for array in (value.values() if isinstance(value, dict)
+                                else (value,))
+                  if isinstance(array, np.ndarray)]
+        assert len(arrays) > 30
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert verify_schedule(net, part, scen, sched, "equitable").passed
+
+    def test_another_partition_object_gets_its_own_arrays(self, solved):
+        # the blocks numbered in reverse, with the schedule and risks
+        # reversed to match: the check must read the partition it is
+        # given, not arrays kept for the network's own
+        net, part, scen, sched = solved
+        last = part.n_blocks - 1
+        reverse = BlockPartition(
+            tuple(LoadBlock(last - b.index, b.buses, b.nominal_demand)
+                  for b in reversed(part.blocks)),
+            MappingProxyType({bus: last - k
+                              for bus, k in part.block_of_bus.items()}),
+            tuple((lid, last - ki, last - kj)
+                  for lid, ki, kj in part.block_graph))
+        scen = dataclasses.replace(scen, risk=scen.risk[::-1])
+        sched = dataclasses.replace(sched,
+                                    block_status=sched.block_status[::-1])
+        assert not verify_schedule(net, part, scen, sched, "original").passed
+        assert verify_schedule(net, reverse, scen, sched, "original").passed
 
     def test_schedule_roundtrip(self, solved):
         net, part, scen, sched = solved

@@ -13,12 +13,16 @@ include the three ``check-replay`` corruptions of ``bench/cases.py``.
 """
 
 import copy
+import dataclasses
 import json
 import pathlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from gridshed import instances, schedule_from_dict, verify_schedule
+from gridshed import (compute_load_blocks, instances, schedule_from_dict,
+                     verify_schedule)
 
 DATA = json.loads(
     (pathlib.Path(__file__).parent / "data" / "checker_golden.json").read_text()
@@ -88,3 +92,42 @@ def test_report_matches_recording(check):
             assert [x.hex() for x in values] == [
                 float(x).hex() for x in recorded[3:]
             ], v
+
+
+def test_threads_meet_the_serial_reports():
+    """Threads verify the checks of two networks in turn, in opposite
+    orders, on fresh network objects each round, so they build and share
+    the checker's kept arrays at once: four threads, switching as often
+    as the interpreter allows."""
+    cases = [[(*_inputs(c), schedule_from_dict(_edited_schedule(c)),
+               c["mode"]) for c in DATA["checks"] if c["case"] == case][:3]
+             for case in ("13bus", "desk8")]
+    runs = [run for pair in zip(*cases) for run in pair]
+    serial = [verify_schedule(*run).to_dict() for run in runs]
+
+    def verify_all(order):
+        reports = []
+        for _ in range(12):
+            copies = {}
+            for i in order:
+                net, _, scen, sched, mode = runs[i]
+                if id(net) not in copies:
+                    fresh = dataclasses.replace(net)
+                    copies[id(net)] = fresh, compute_load_blocks(fresh)
+                reports.append((i, verify_schedule(
+                    *copies[id(net)], scen, sched, mode).to_dict()))
+        return reports
+
+    order = range(len(runs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(verify_all, o)
+                       for o in (order, order[::-1]) * 2]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for reports in results:
+        assert len(reports) == 12 * len(runs)
+        assert all(report == serial[i] for i, report in reports)

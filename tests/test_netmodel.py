@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from gridshed import (
     parse_network,
     parse_scenario,
 )
+from gridshed import netmodel
 from gridshed.instances import thirteen_bus_network, thirteen_bus_scenario
 from gridshed.netmodel import Bus, Der, Line, LoadPoint, Storage
 
@@ -196,6 +198,43 @@ class TestRecordTables:
     def test_malformed_records_rejected(self, doc):
         with pytest.raises(ParseError):
             parse_network(doc)
+
+
+def _read(parse, doc):
+    """The network ``parse`` reads from ``doc``, or its error's type and
+    message."""
+    try:
+        return parse(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedNetworks:
+    def test_equal_documents_share_one_network(self):
+        text = json.dumps(thirteen_bus_network())
+        net = parse_network(json.loads(text))
+        assert parse_network(json.loads(text)) is net
+        assert parse_network(json.loads(text.replace("0.95", "0.94"))) != net
+
+    def test_partition_is_read_only(self):
+        part = compute_load_blocks(parse_network(thirteen_bus_network()))
+        with pytest.raises(TypeError):
+            part.block_of_bus["b01"] = 3
+        assert part.block_of_bus["b01"] == 0
+
+    def test_values_of_other_types_read_as_without_sharing(self):
+        # marshal writes any buffer as bytes: a numpy float marshals as the
+        # bytes of its value, a bytearray as bytes of its content; and a
+        # set is marshallable, an arbitrary object is not
+        weird = [np.float64(0.97), bytes(np.float64(0.97)), bytearray(b"x"),
+                 b"x", {"x"}, object()]
+        for collection, key in (("buses", "v_min"), ("loads", "id")):
+            for value in weird:
+                doc = thirteen_bus_network()
+                doc[collection][1][key] = value
+                expected = _read(netmodel._parse_network, doc)
+                assert _read(parse_network, doc) == expected
+                assert _read(parse_network, doc) == expected
 
 
 class TestBlocks:

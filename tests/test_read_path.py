@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from gridshed import (
     GridshedError,
     instances,
+    netmodel,
     parse_network,
     parse_scenario,
     schedule_from_dict,
@@ -71,12 +72,12 @@ def apply_edits(doc, edits):
     return doc
 
 
-def outcome(kind, doc):
+def outcome(kind, doc, parse=parse_network):
     """(stage, exception type, message) of reading ``doc``, or None."""
     stage = "parse_network"
     try:
         if kind == "network":
-            parse_network(doc)
+            parse(doc)
         else:
             net, part, scen = CASE
             stage = "schedule_from_dict"
@@ -95,6 +96,9 @@ def base(kind):
 @pytest.mark.parametrize("case", TABLE, ids=[c["name"] for c in TABLE])
 def test_pinned_error(case):
     doc = apply_edits(base(case["kind"]), case["edits"])
+    # a repeated read meets the network, and its checker arrays, as kept
+    # by the first
+    assert outcome(case["kind"], doc) == case["error"]
     assert outcome(case["kind"], doc) == case["error"]
 
 
@@ -130,10 +134,12 @@ def _leaves(doc, path=()):
 
 
 @st.composite
-def mutated(draw, doc):
-    """``doc`` after one to three random edits: a node swapped for a
-    hostile value, a key dropped, a key added, or a list made ragged."""
-    doc = copy.deepcopy(doc)
+def mutated(draw, doc, in_place=False):
+    """``doc``, or a copy unless ``in_place``, after one to three random
+    edits: a node swapped for a hostile value, a key dropped, a key added,
+    or a list made ragged."""
+    if not in_place:
+        doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         nodes = [(p, v) for p, v in _leaves(doc) if p]
         if not nodes:
@@ -167,6 +173,18 @@ PROPERTY = settings(max_examples=150, deadline=None,
 @given(mutated(NETWORK))
 def test_mutated_network_parses_or_raises_package_error(doc):
     outcome("network", doc)  # any other exception fails the test
+
+
+@PROPERTY
+@given(st.data())
+def test_network_edited_in_place_is_read_again(data):
+    doc = copy.deepcopy(NETWORK)
+    parse_network(doc)
+    data.draw(mutated(doc, in_place=True))
+    expected = outcome("network", doc, netmodel._parse_network)
+    assert outcome("network", doc) == expected
+    if expected is None:
+        assert parse_network(doc) == netmodel._parse_network(doc)
 
 
 @PROPERTY

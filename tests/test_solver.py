@@ -180,6 +180,16 @@ class TestStatusMapping:
         assert sol.objective is None and sol.values is None
         assert sol.gap == math.inf
 
+    def test_infeasible_milp_reports_the_nodes_searched(self):
+        # no subset of the knapsack weights sums to 171; presolve leaves
+        # that to the search
+        rows = self.KNAPSACK["rows"]
+        model = make_model(**{**self.KNAPSACK, "rows": rows + [
+            (range(6), rows[0][1], ">=", 171.0)]})
+        sol = solve_milp(model)
+        assert sol.status == "infeasible"
+        assert sol.stats["nodes"] >= 1
+
 
 @pytest.mark.parametrize("option, value", [
     ("gap_target", 0.0), ("gap_target", 1.0), ("gap_target", math.nan),
