@@ -23,7 +23,6 @@ status changes (statuses are rounded and validated first).
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -134,53 +133,37 @@ class ViolationReport:
         }
 
 
-# The fields the checks read from the entities of each collection.
-_FIELDS = {
-    "buses": ("id", "v_min", "v_max"),
-    "lines": ("id", "from_bus", "to_bus", "resistance", "reactance",
-              "switchable", "p_min", "p_max", "q_min", "q_max"),
-    "ders": ("id", "bus", "p_min", "p_max", "q_min", "q_max", "ramp_up",
-             "ramp_down", "can_grid_form"),
-    "loads": ("id", "bus", "p_min", "p_max", "q_min", "q_max"),
-    "storage": ("id", "bus", "e_max", "initial_energy", "eta_charge",
-                "eta_discharge", "p_charge_max", "p_discharge_max"),
-}
 _UNITS = ("ders", "loads", "storage")
 _STATUS = np.array([status for *_, status in SERIES])
 
 
-def _read_fields(items, fields) -> dict:
-    """field -> the tuple of its values over ``items``, read in one pass."""
-    columns = tuple(zip(*map(attrgetter(*fields), items)))
-    return dict(zip(fields, columns or ((),) * len(fields)))
-
-
-def _numbers(col: dict, *fields) -> np.ndarray:
-    """(fields, entities, 1): one (entities, 1) column per field."""
-    return np.array([col[f] for f in fields], dtype=float)[:, :, None]
+def _numbers(items, *fields) -> np.ndarray:
+    """(fields, entities, 1): one (entities, 1) column per field of the
+    records ``items``."""
+    return np.array([[getattr(x, f) for x in items] for f in fields],
+                    dtype=float)[:, :, None]
 
 
 class _NetworkArrays:
     """Index, incidence and bound arrays of one network and its partition,
     derived from ``netmodel`` objects alone.  Bounds are (entities, 1)
-    columns, so they broadcast against (entities, periods) series.  Each
-    collection is read in one pass."""
+    columns, so they broadcast against (entities, periods) series."""
 
     def __init__(self, net: NetworkModel, part: BlockPartition):
         self.part = part
-        col = {name: _read_fields(getattr(net, name), fields)
-               for name, fields in _FIELDS.items()}
-        buses, lines = col["buses"], col["lines"]
-        self.ids = {name: c["id"] for name, c in col.items()}
+        lines = net.lines
+        self.ids = {name: tuple(x.id for x in getattr(net, name))
+                    for name in ("buses", "lines", *_UNITS)}
         self.known = {name: frozenset(ids) for name, ids in self.ids.items()}
         bus_ids = self.ids["buses"]
-        n_bus, n_line = len(bus_ids), len(lines["id"])
+        n_bus, n_line = len(bus_ids), len(lines)
         bus_at = dict(zip(bus_ids, range(n_bus)))
 
         self.line_from, self.line_to = np.array(
-            [[bus_at[b] for b in lines["from_bus"]],
-             [bus_at[b] for b in lines["to_bus"]]], dtype=int)
-        bus = {name: np.array([bus_at[b] for b in col[name]["bus"]], dtype=int)
+            [[bus_at[l.from_bus] for l in lines],
+             [bus_at[l.to_bus] for l in lines]], dtype=int)
+        bus = {name: np.array([bus_at[x.bus] for x in getattr(net, name)],
+                              dtype=int)
                for name in _UNITS}
 
         # (bus, entity) incidence: -1 where a line leaves a bus, +1 where
@@ -197,7 +180,7 @@ class _NetworkArrays:
             self.block[name] = self.block["buses"][bus[name]]
 
         # the switch lines' ids, rows, and blocks at either end
-        line_at = dict(zip(lines["id"], range(n_line)))
+        line_at = dict(zip(self.ids["lines"], range(n_line)))
         self.switch_ids = tuple(lid for lid, _, _ in part.block_graph)
         self.switches = np.array([line_at[lid] for lid in self.switch_ids],
                                  dtype=int)
@@ -210,18 +193,19 @@ class _NetworkArrays:
         self.fixed = switchable == 0
         # squares are taken in Python, as the one-entity formulas did
         self.v_min_sq, self.v_max_sq = np.array(
-            [[v ** 2 for v in buses["v_min"]],
-             [v ** 2 for v in buses["v_max"]]], dtype=float)[:, :, None]
+            [[b.v_min ** 2 for b in net.buses],
+             [b.v_max ** 2 for b in net.buses]], dtype=float)[:, :, None]
         # (p_min, p_max, q_min, q_max) of each line, DER and load
         self.pq_bounds = {
-            name: _numbers(col[name], "p_min", "p_max", "q_min", "q_max")
+            name: _numbers(getattr(net, name), "p_min", "p_max", "q_min",
+                           "q_max")
             for name in ("lines", "ders", "loads")}
         self.ramp_up, self.ramp_down, can_form = _numbers(
-            col["ders"], "ramp_up", "ramp_down", "can_grid_form")
+            net.ders, "ramp_up", "ramp_down", "can_grid_form")
         self.can_form = can_form != 0
         (self.e_max, self.e_initial, self.eta_charge, self.eta_discharge,
          self.charge_max, self.discharge_max) = _numbers(
-            col["storage"], "e_max", "initial_energy", "eta_charge",
+            net.storage, "e_max", "initial_energy", "eta_charge",
             "eta_discharge", "p_charge_max", "p_discharge_max")
 
         # The island census works on bus ranks in sorted-id order, so the
@@ -231,10 +215,9 @@ class _NetworkArrays:
         self.rank_block = np.array(
             [part.block_of_bus[b] for b in self.sorted_bus_ids], dtype=int)
         self.line_ends_rank = np.array(
-            [[rank[b] for b in lines["from_bus"]],
-             [rank[b] for b in lines["to_bus"]]], dtype=int)
-        self.der_rank = np.array([rank[b] for b in col["ders"]["bus"]],
-                                 dtype=int)
+            [[rank[l.from_bus] for l in lines],
+             [rank[l.to_bus] for l in lines]], dtype=int)
+        self.der_rank = np.array([rank[d.bus] for d in net.ders], dtype=int)
         self.substation_rank = rank[net.substation.id]
 
         # row layout of all series stacked into one matrix, in SERIES order

@@ -14,7 +14,6 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import starmap
 from types import MappingProxyType
 
 from .errors import (DimensionError, ModelError, ParseError, RangeError,
@@ -269,45 +268,21 @@ _RECORDS = {
 # The reader of a record field of each type
 _READERS = {str: _text, bool: _flag, float: _numeric, float | None: _optional}
 
-# The type a reader returns unchanged.  A value already of that type (and
-# finite, for numbers) is stored without calling the reader.
-_RETURNS_UNCHANGED = {_numeric: float, _unlimited: float, _optional: float,
-                      _text: str, _flag: bool}
 
-
-def _compile(cls, where: str) -> tuple:
-    """(record type, where, (key, reader, type it keeps, message path,
-    default or MISSING) per field), worked out once so parsing touches no
-    dataclass metadata."""
-    entries = []
-    for f in fields(cls):
-        key = f.metadata.get("key", f.name)
-        read = f.metadata.get("read", _READERS[f.type])
-        entries.append((key, read, _RETURNS_UNCHANGED[read], f"{where}.{key}",
-                        f.default))
-    return cls, where, tuple(entries)
-
-
-_COMPILED = {name: _compile(*spec) for name, spec in _RECORDS.items()}
-
-
-def _read_record(raw, where: str, entries: tuple) -> list:
-    """Field values of one record, in field order; omitted keys take the
+def _read_record(raw, cls, where: str):
+    """The record of type ``cls`` that ``raw`` holds; omitted keys take the
     defaults."""
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object, got {raw!r}")
-    values = []
-    for key, read, kept, path, default in entries:
-        value = raw.get(key, MISSING)
-        if value is MISSING:
-            if default is MISSING:
-                raise ParseError(f"{where}: missing required key '{key}'")
-            value = default
-        elif type(value) is not kept or (kept is float
-                                         and not -INF < value < INF):
-            value = read(value, path)
-        values.append(value)
-    return values
+    values = {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key in raw:
+            read = f.metadata.get("read", _READERS[f.type])
+            values[f.name] = read(raw[key], f"{where}.{key}")
+        elif f.default is MISSING:
+            raise ParseError(f"{where}: missing required key '{key}'")
+    return cls(**values)
 
 
 class _Recent:
@@ -388,16 +363,12 @@ def _parse_network(data: dict) -> NetworkModel:
         raise ParseError("network document must be a JSON object")
 
     records = {}
-    for name, (_, where, entries) in _COMPILED.items():
+    for name, (cls, where) in _RECORDS.items():
         raws = data.get(name, [])
         if not isinstance(raws, list):
             raise ParseError(f"{name}: expected an array of objects")
-        records[name] = [_read_record(raw, where, entries) for raw in raws]
-
-    return NetworkModel(**{
-        name: tuple(starmap(cls, records[name]))
-        for name, (cls, _, _) in _COMPILED.items()
-    })
+        records[name] = tuple(_read_record(raw, cls, where) for raw in raws)
+    return NetworkModel(**records)
 
 
 def _check_mode(mode: str) -> None:
