@@ -59,8 +59,6 @@ class Schedule:
         return self.horizon - self.block_status.sum(axis=1)
 
     def status_changes_per_block(self) -> np.ndarray:
-        if self.horizon < 2:
-            return np.zeros(self.block_status.shape[0], dtype=int)
         return np.abs(np.diff(self.block_status, axis=1)).sum(axis=1)
 
 

@@ -48,7 +48,9 @@ def _numeric(value, where: str) -> float:
 
 
 def _text(value, where: str) -> str:
-    return str(value)
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    return str(value)  # a subclass, such as numpy.str_, as a plain str
 
 
 def _flag(value, where: str) -> bool:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -46,6 +47,15 @@ class TestMetrics:
             part.n_blocks * scen.horizon - z.sum()
         )
         assert metrics.participating == int((z.sum(axis=1) < scen.horizon).sum())
+
+        # one period holds no status change
+        first = dataclasses.replace(sched, horizon=1, block_status=z[:, :1])
+        one = compute_metrics(part, dataclasses.replace(scen, horizon=1), first)
+        assert one.change_counts == (0,) * part.n_blocks
+        assert one.shed_counts == tuple(int(1 - z[k, 0])
+                                        for k in range(part.n_blocks))
+        changes = first.status_changes_per_block()
+        assert changes.shape == (part.n_blocks,) and changes.dtype == z.dtype
 
     def test_shares_sum_to_one_when_sheds_exist(self, small_solved):
         _, _, _, _, metrics = small_solved

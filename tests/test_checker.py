@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 from types import MappingProxyType
@@ -25,7 +26,8 @@ from gridshed import (
     verify_schedule,
 )
 from gridshed.analysis import extract_schedule, schedule_objective
-from gridshed.checker import SERIES, _arrays_of, _per_period, equity_violations
+from gridshed.checker import (SERIES, _arrays_of, _NetworkArrays, _per_period,
+                              equity_violations)
 from gridshed.instances import (
     desk_network,
     desk_scenario,
@@ -142,6 +144,23 @@ def solved(microgrid_case):
     assert sol.status in ("optimal", "feasible-gap")
     sched = extract_schedule(model, sol.values, net, part, scen)
     return net, part, scen, sched
+
+
+# sha256 digests of the parsed records (floats by float.hex) and of the
+# dtype, shape and bytes of every array the checker reads from them
+PINNED_NETWORKS = {
+    "13bus": thirteen_bus_network,
+    "desk3": lambda: desk_network(3, 8),
+    "desk4": lambda: desk_network(4, 8),
+}
+PARSED_PINNED = {
+    "13bus": ("f812ee815072c8d8ec3fc1da6265c7fb6b728a0a643112b902c0ce356317207c",
+              "7b8f71ccc1551390f7d65457d80f2feb03e7ca8d0caf6402d6d42bd25947d1ce"),
+    "desk3": ("f688b267b758023d5b83e564f994a6f7c71f18a9c506bac3824ecfd5ed41e792",
+              "8ea829da91d611fc2bbb170d54db1b74310668fa7fa973549bf18264dffbc0f3"),
+    "desk4": ("4fa5a1fb6765312153878e1a740d030ab780717db2c9148f1e49b525ebf5afa0",
+              "be0a7033333b88a9c321ad23573cba9c5bdaf84ba46524b11775ef00bdd72cd1"),
+}
 
 
 class TestVerifySchedule:
@@ -288,6 +307,31 @@ class TestVerifySchedule:
         assert [(v.family, v.entity, v.period) for v in report.violations] == [
             ("fixed_line", "l05", 0)
         ]
+
+    @pytest.mark.parametrize("name", list(PARSED_PINNED))
+    def test_parsed_network_pinned(self, name):
+        # any change to a record reader or to the arrays read from the
+        # records that alters a value, a type or a dtype fails here
+        net = parse_network(PINNED_NETWORKS[name]())
+        records = hashlib.sha256()
+        for collection in ("buses", "lines", "ders", "storage", "loads"):
+            for record in getattr(net, collection):
+                for f in dataclasses.fields(record):
+                    value = getattr(record, f.name)
+                    records.update(repr((
+                        collection, f.name, type(value).__name__,
+                        value.hex() if isinstance(value, float) else value,
+                    )).encode())
+        arrays = hashlib.sha256()
+        for attr, value in sorted(vars(_NetworkArrays(
+                net, compute_load_blocks(net))).items()):
+            for key, array in (sorted(value.items())
+                               if isinstance(value, dict) else [(None, value)]):
+                if isinstance(array, np.ndarray):
+                    arrays.update(repr((attr, key, array.dtype.str,
+                                        array.shape)).encode())
+                    arrays.update(array.tobytes())
+        assert (records.hexdigest(), arrays.hexdigest()) == PARSED_PINNED[name]
 
     def test_network_arrays_are_read_only(self, solved):
         net, part, scen, sched = solved

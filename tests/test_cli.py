@@ -190,6 +190,25 @@ def test_validate_rejects_malformed_record(capsys, tmp_path):
     assert err.startswith("error: bus: expected an object")
 
 
+@pytest.mark.parametrize("collection, index, key, value, where", [
+    ("loads", 2, "id", None, "load.id"),
+    ("lines", 1, "from", ["b01"], "line.from"),
+    ("ders", 2, "bus", 9, "der.bus"),
+    ("storage", 0, "bus", False, "storage.bus"),
+])
+def test_validate_rejects_an_id_that_is_no_string(capsys, tmp_path,
+                                                  collection, index, key,
+                                                  value, where):
+    doc = thirteen_bus_network()
+    doc[collection][index][key] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--net", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {where}: expected a string, got {value!r}\n"
+
+
 def test_solve_modes_match_with_default_limits(case_files, capsys):
     net, scen_path, root = case_files
     neutral = root / "neutral.json"
