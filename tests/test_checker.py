@@ -310,8 +310,9 @@ class TestVerifySchedule:
 
     @pytest.mark.parametrize("name", list(PARSED_PINNED))
     def test_parsed_network_pinned(self, name):
-        # any change to a record reader or to the arrays read from the
-        # records that alters a value, a type or a dtype fails here
+        # a change to a record reader, or to the arrays read from the
+        # records, that alters any value, type or dtype of these networks
+        # fails here
         net = parse_network(PINNED_NETWORKS[name]())
         records = hashlib.sha256()
         for collection in ("buses", "lines", "ders", "storage", "loads"):

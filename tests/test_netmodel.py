@@ -140,22 +140,6 @@ FULL_RECORDS = {
 }
 
 
-# (collection, record id, key, message path) of every id and bus reference
-ID_KEYS = [
-    ("buses", "b03", "id", "bus.id"),
-    ("lines", "l02", "id", "line.id"),
-    ("lines", "l02", "from", "line.from"),
-    ("lines", "l02", "to", "line.to"),
-    ("ders", "pv1", "id", "der.id"),
-    ("ders", "pv1", "bus", "der.bus"),
-    ("storage", "bat1", "id", "storage.id"),
-    ("storage", "bat1", "bus", "storage.bus"),
-    ("loads", "d3", "id", "load.id"),
-    ("loads", "d3", "bus", "load.bus"),
-]
-NOT_STRINGS = [None, ["x"], 7, 7.0, True]
-
-
 class TestRecordTables:
     @pytest.mark.parametrize("name", list(FULL_RECORDS))
     def test_every_key_reaches_its_field(self, name):
@@ -186,8 +170,20 @@ class TestRecordTables:
         with pytest.raises(ParseError, match=key):
             parse_network(doc)
 
-    @pytest.mark.parametrize("collection, record_id, key, where", ID_KEYS)
-    @pytest.mark.parametrize("value", NOT_STRINGS,
+    # every id and bus reference
+    @pytest.mark.parametrize("collection, record_id, key, where", [
+        ("buses", "b03", "id", "bus.id"),
+        ("lines", "l02", "id", "line.id"),
+        ("lines", "l02", "from", "line.from"),
+        ("lines", "l02", "to", "line.to"),
+        ("ders", "pv1", "id", "der.id"),
+        ("ders", "pv1", "bus", "der.bus"),
+        ("storage", "bat1", "id", "storage.id"),
+        ("storage", "bat1", "bus", "storage.bus"),
+        ("loads", "d3", "id", "load.id"),
+        ("loads", "d3", "bus", "load.bus"),
+    ])
+    @pytest.mark.parametrize("value", [None, ["x"], 7, 7.0, True],
                              ids=["null", "list", "int", "float", "bool"])
     def test_ids_must_be_json_strings(self, collection, record_id, key, where,
                                       value):
