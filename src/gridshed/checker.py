@@ -8,8 +8,9 @@ period) with the offending left/right-hand sides.
 
 Each family is a few array operations over (entity × period) matrices.
 Each check stacks the schedule's series once.  The network's incidence,
-block-index and bound arrays are built from ``netmodel`` objects alone,
-once per (network, partition) pair of objects, and kept read-only.
+block-index and bound arrays are built from ``netmodel`` objects alone
+and kept read-only for the 8 (network, partition) pairs most recently
+checked; partitions compare by identity.
 Each gated family checks its own series against its gate: zero where the
 gate is off, within bounds where it is on.
 Records are made only where a family's mask is true, ordered by entity,
@@ -22,13 +23,13 @@ status changes (statuses are rounded and validated first).
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .netmodel import (BlockPartition, NetworkModel, Scenario, _check_mode,
-                       _Recent)
+from .netmodel import BlockPartition, NetworkModel, Scenario, _check_mode
 
 RESIDUAL_TOL = 1e-6
 LOGIC_TOL = 1e-9
@@ -234,17 +235,8 @@ class _NetworkArrays:
                     array.flags.writeable = False
 
 
-# The arrays of recent (network, partition) pairs, by their ids; each
-# entry holds both objects, so the ids stay theirs while it is kept.
-_ARRAYS = _Recent(8)
-
-
-def _arrays_of(net: NetworkModel, part: BlockPartition) -> _NetworkArrays:
-    key = (id(net), id(part))
-    entry = _ARRAYS.get(key)
-    if entry is None:
-        entry = _ARRAYS.put(key, (net, part, _NetworkArrays(net, part)))
-    return entry[2]
+# The arrays of the 8 (network, partition) pairs most recently checked
+_arrays_of = lru_cache(maxsize=8)(_NetworkArrays)
 
 
 def _census(a: _NetworkArrays, closed: np.ndarray, forming: np.ndarray):

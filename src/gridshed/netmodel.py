@@ -11,13 +11,13 @@ import json
 import marshal
 import math
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 
-from .errors import (DimensionError, ModelError, ParseError, RangeError,
-                     ValidationError)
+from .errors import (DimensionError, GridshedError, ModelError, ParseError,
+                     RangeError, ValidationError)
 
 INF = math.inf
 # "original" schedules for served energy alone; "equitable" adds the equity
@@ -151,6 +151,12 @@ class NetworkModel:
     def __post_init__(self):
         validate_network(self)
 
+    def __hash__(self):
+        # equal networks have equal record counts; hashing every record
+        # would cost more than the checker's lookup by network saves
+        return hash((len(self.buses), len(self.lines), len(self.ders),
+                     len(self.storage), len(self.loads)))
+
     @property
     def substation(self) -> Bus:
         return next(b for b in self.buses if b.is_substation)
@@ -165,8 +171,10 @@ class LoadBlock:
     nominal_demand: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPartition:
+    """The load blocks of one network; partitions compare by identity."""
+
     blocks: tuple
     block_of_bus: MappingProxyType  # read-only bus id -> block index
     # (switch line id, block i, block j) with i != j
@@ -287,76 +295,36 @@ def _read_record(raw, cls, where: str):
     return cls(**values)
 
 
-class _Recent:
-    """Values under the ``size`` keys most recently used, safe to share
-    between threads."""
-
-    def __init__(self, size: int):
-        self._size = size
-        self._items = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-            return value
-
-    def put(self, key, value):
-        """Keep ``value`` under ``key`` unless another thread kept one
-        there first; return the kept value."""
-        with self._lock:
-            value = self._items.setdefault(key, value)
-            self._items.move_to_end(key)
-            if len(self._items) > self._size:
-                self._items.popitem(last=False)
-            return value
-
-
-# Parsed networks by the marshal bytes of their documents
-_PARSED = _Recent(8)
-_JSON_TYPES = frozenset({dict, list, str, int, float, bool, type(None)})
-
-
-def _plain(doc, budget: int) -> bool:
-    """Whether ``doc`` is a tree of at most ``budget`` objects, each of an
-    exact JSON type.  marshal writes each such object under its own type
-    code, so a document that marshals to the same bytes holds the same
-    values; but it writes any other buffer, a bytearray or a numpy float,
-    as bytes.  A tree marshals to at least a byte per object, so with the
-    key's length as budget only shared or cyclic containers overrun it."""
-    stack = [doc]
-    while stack:
-        budget -= 1
-        value = stack.pop()
-        kind = type(value)
-        if budget < 0 or kind not in _JSON_TYPES:
-            return False
-        if kind is dict:
-            stack += value
-            stack += value.values()
-        elif kind is list:
-            stack += value
-    return True
-
-
 def parse_network(data: dict) -> NetworkModel:
     """Build and validate a NetworkModel from a parsed JSON document.
 
     Documents that marshal to the same bytes, such as two ``json.loads``
-    of one text, give one shared NetworkModel: the networks of the
-    documents most recently read are kept by those bytes.  Errors are not
-    kept, nor documents of other than JSON types."""
+    of one text, give one shared NetworkModel: the networks of the 8 keys
+    most recently read are kept, each parsed from the document its key
+    loads back to.  A document that does not read back alike is parsed
+    as it is and not kept; errors are never kept."""
     try:
         key = marshal.dumps(data)
     except ValueError:
         return _parse_network(data)
-    net = _PARSED.get(key)
-    if net is None:
-        net = _parse_network(data)
-        if _plain(data, len(key)):
-            net = _PARSED.put(key, net)
+    try:
+        return _parse_kept(key)
+    except GridshedError:
+        return _parse_network(data)
+
+
+@lru_cache(maxsize=8)
+def _parse_kept(key: bytes) -> NetworkModel:
+    """The network of the document that ``key`` loads back to.  marshal
+    writes any buffer, such as a numpy float or string, as bytes.  No
+    reader accepts bytes as a value, but a numpy string used as a key
+    equals the name it holds, so a document with bytes among the keys
+    that are read is refused: its original may read differently."""
+    doc = marshal.loads(key)
+    net = _parse_network(doc)
+    records = chain.from_iterable(doc.get(name, ()) for name in _RECORDS)
+    if any(bytes in map(type, raw) for raw in (doc, *records)):
+        raise ParseError("bytes among a network document's keys")
     return net
 
 

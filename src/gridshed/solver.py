@@ -291,7 +291,7 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
         if ok.any():
             surv_idx.append(ids[ok])
             surv_obj.append(bits[ok] @ c_enum + fixed_const)
-    stats = {"nodes": int(total), "lp_solves": 0}
+    stats = {"nodes": int(total)}
     if not surv_idx:
         return MilpSolution("infeasible", None, None, 0.0, None, stats)
 
@@ -303,13 +303,10 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
     best_obj, best_x = math.inf, None
     for pos in order:
         aid = int(surv_idx[pos])
-        if objective_is_binary and surv_obj[pos] >= best_obj:
-            break
         bounds = base_bounds.copy()
         pins = (aid >> np.arange(n_enum)) & 1
         bounds[enum_cols, 0] = bounds[enum_cols, 1] = pins
         lp = solve_lp(model, bounds=bounds)
-        stats["lp_solves"] += 1
         if lp.status != "optimal":
             continue
         if lp.objective < best_obj:

@@ -11,6 +11,7 @@ from gridshed import (
     DomainError,
     InfeasibleError,
     Schedule,
+    SolverOptions,
     compute_metrics,
     emit_report,
     run_horizon,
@@ -165,6 +166,28 @@ class TestSweeps:
                            "wall_ms"]
         assert rows[1][0] == "epsilon"
         assert rows[1][2] in ("optimal", "feasible-gap")
+
+
+    def test_points_without_a_schedule(self, microgrid_case):
+        # the emergency block carries risk, so no schedule meets eps=0
+        net, _, scen = microgrid_case
+        result = sweep_epsilon(net, scen, [0.0, 0.5])
+        assert [p.status for p in result.points] == ["infeasible", "optimal"]
+        assert result.points[0].objective is None
+        assert result.points[0].metrics is None
+        buf = io.StringIO()
+        result.to_csv(buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert rows[1][:7] == ["epsilon", "0", "infeasible", "", "", "", ""]
+        assert rows[2][2] == "optimal" and rows[2][3] != ""
+
+    def test_point_stopped_by_the_time_limit(self, microgrid_case):
+        net, _, scen = microgrid_case
+        result = sweep_epsilon(net, scen, [0.5],
+                               opts=SolverOptions(time_limit=0.0))
+        (point,) = result.points
+        assert (point.status, point.objective, point.metrics) == (
+            "limit", None, None)
 
 
 class TestEmitReport:

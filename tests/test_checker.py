@@ -295,6 +295,15 @@ class TestVerifySchedule:
         with pytest.raises(DimensionError, match=rf"{name}: .*'ghost'"):
             verify_schedule(net, part, scen, bad, "equitable")
 
+    def test_string_series_raises(self, solved):
+        # schedule_from_dict refuses strings; a Schedule built in Python
+        # reaches the checker's own stack
+        net, part, scen, sched = solved
+        bad = dataclasses.replace(sched, qd=dict(sched.qd, d1=["0.1"] * 8))
+        with pytest.raises(DimensionError,
+                           match="^series values must be numbers$"):
+            verify_schedule(net, part, scen, bad, "equitable")
+
     def test_opening_a_fixed_line_is_flagged(self, solved):
         net, part, scen, sched = solved
         assert not next(l for l in net.lines if l.id == "l05").switchable

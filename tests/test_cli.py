@@ -297,6 +297,25 @@ def test_gen_emits_loadable_case(capsys, tmp_path):
     assert "23 buses, 6 blocks" in out
 
 
+def test_gen_emits_loadable_desk_case(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "gen", "--case", "desk", "--seed", "2",
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    net_path, scen_path = out.splitlines()
+    code, out, _ = run_cli(capsys, "validate", "--net", net_path,
+                           "--scen", scen_path)
+    assert code == 0
+    assert "network ok" in out and "scenario ok" in out
+
+
+@pytest.mark.parametrize("argv, code", [(["solve"], 1), (["--help"], 0)])
+def test_usage_errors_exit_without_traceback(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "usage:" in (err if code else out)
+    assert "Traceback" not in err
+
+
 def test_bad_gap_rejected(case_files, capsys):
     net, scen, _ = case_files
     code, _, err = run_cli(capsys, "solve", "--net", net, "--scen", scen,
@@ -338,7 +357,7 @@ def test_node_limit_beyond_highs_int_rejected(case_files):
     ("0.5:0.1:inf", "must be finite"), ("nan:0.1:1", "must be finite"),
     ("0:inf:1", "must be finite"), ("1:1e-20:2", "does not advance"),
     ("0:1e-9:1", "at most 10000"), ("-1e308:1e308:1e308", "not finite"),
-    ("0:1e-320:1", "not finite"),
+    ("0:1e-320:1", "not finite"), ("1:2", "expected start:step:stop"),
 ])
 def test_sweep_rejects_bad_values(case_files, capsys, values, token):
     net, scen, _ = case_files

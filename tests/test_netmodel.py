@@ -260,6 +260,21 @@ class TestSharedNetworks:
                 assert _read(parse_network, doc) == expected
                 assert _read(parse_network, doc) == expected
 
+    def test_keys_of_other_types_read_as_without_sharing(self):
+        # a numpy string key equals the name it holds, but marshals as
+        # bytes, as a bytes key does, which no reader looks up; each
+        # bytes key is read first, so the numpy key would meet its network
+        for name in ("storage", "v_min"):
+            for key in (name.encode(), np.str_(name)):
+                doc = thirteen_bus_network()
+                if name == "storage":
+                    doc[key] = doc.pop("storage")
+                else:
+                    doc["buses"][1][key] = 0.97
+                expected = _read(netmodel._parse_network, doc)
+                assert _read(parse_network, doc) == expected
+                assert _read(parse_network, doc) == expected
+
 
 class TestBlocks:
     def test_partition_computed_once_per_network(self):

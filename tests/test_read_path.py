@@ -1,12 +1,12 @@
 """The read path of ``gridshed check``: what it raises on malformed input.
 
-``data/read_path_errors.json`` holds malformed network and schedule
-documents, each as a list of edits to a valid ``13bus`` document, with the
-stage that raised (``parse_network``, ``schedule_from_dict`` or
-``verify_schedule``), the exception type and the message recorded before
-the read path was rewritten to load whole families at once.  A schedule is
-verified against the ``13bus`` case in ``equitable`` mode; its base is the
-recorded ``equitable`` schedule of ``data/checker_golden.json``.
+``data/read_path_errors.json`` holds malformed network, scenario and
+schedule documents, each as a list of edits to a valid ``13bus`` document,
+with the stage that raised (``parse_network``, ``parse_scenario``,
+``schedule_from_dict`` or ``verify_schedule``), the exception type and the
+message.  A scenario is read against the ``13bus`` partition.  A schedule
+is verified against the ``13bus`` case in ``equitable`` mode; its base is
+the recorded ``equitable`` schedule of ``data/checker_golden.json``.
 
 The property tests mutate the same valid documents, and the ``13bus``
 scenario, at random: every outcome is either success or a
@@ -78,6 +78,9 @@ def outcome(kind, doc, parse=parse_network):
     try:
         if kind == "network":
             parse(doc)
+        elif kind == "scenario":
+            stage = "parse_scenario"
+            parse_scenario(doc, CASE[1])
         else:
             net, part, scen = CASE
             stage = "schedule_from_dict"
@@ -90,7 +93,7 @@ def outcome(kind, doc, parse=parse_network):
 
 
 def base(kind):
-    return NETWORK if kind == "network" else SCHEDULE
+    return {"network": NETWORK, "scenario": SCENARIO}.get(kind, SCHEDULE)
 
 
 @pytest.mark.parametrize("case", TABLE, ids=[c["name"] for c in TABLE])
@@ -102,15 +105,16 @@ def test_pinned_error(case):
     assert outcome(case["kind"], doc) == case["error"]
 
 
-def test_table_covers_both_documents_and_every_stage():
+def test_table_covers_every_document_and_stage():
     assert {c["error"][0] for c in TABLE} == {
-        "parse_network", "schedule_from_dict", "verify_schedule"}
+        "parse_network", "parse_scenario", "schedule_from_dict",
+        "verify_schedule"}
     assert all(c["error"] is not None for c in TABLE)
 
 
 def test_unedited_documents_read_cleanly():
-    assert outcome("network", NETWORK) is None
-    assert outcome("schedule", SCHEDULE) is None
+    for kind in ("network", "scenario", "schedule"):
+        assert outcome(kind, base(kind)) is None
 
 
 # Values that no field of any document accepts everywhere.  No mid-size
