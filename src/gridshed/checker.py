@@ -10,7 +10,8 @@ Each family is a few array operations over (entity × period) matrices.
 Each check stacks the schedule's series once.  The network's incidence,
 block-index and bound arrays are built from ``netmodel`` objects alone
 and kept read-only for the 8 (network, partition) pairs most recently
-checked; partitions compare by identity.
+checked; partitions compare by identity, and two threads checking a new
+pair at once may each build its arrays.
 Each gated family checks its own series against its gate: zero where the
 gate is off, within bounds where it is on.
 Records are made only where a family's mask is true, ordered by entity,

@@ -302,7 +302,8 @@ def parse_network(data: dict) -> NetworkModel:
     of one text, give one shared NetworkModel: the networks of the 8 keys
     most recently read are kept, each parsed from the document its key
     loads back to.  A document that does not read back alike is parsed
-    as it is and not kept; errors are never kept."""
+    as it is and not kept; errors are never kept.  Two threads reading a
+    new document at once may each build its network; the two are equal."""
     try:
         key = marshal.dumps(data)
     except ValueError:

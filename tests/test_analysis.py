@@ -167,9 +167,9 @@ class TestSweeps:
         assert rows[1][0] == "epsilon"
         assert rows[1][2] in ("optimal", "feasible-gap")
 
-
     def test_points_without_a_schedule(self, microgrid_case):
-        # the emergency block carries risk, so no schedule meets eps=0
+        # the emergency block carries risk and is never shed, so no
+        # schedule meets eps=0
         net, _, scen = microgrid_case
         result = sweep_epsilon(net, scen, [0.0, 0.5])
         assert [p.status for p in result.points] == ["infeasible", "optimal"]
