@@ -22,7 +22,7 @@ from .errors import DomainError, GridshedError, InfeasibleError, SolverLimitErro
 from .formulation import MilpModel, build_model
 from .netmodel import (BlockPartition, NetworkModel, Scenario, _check_mode,
                        compute_load_blocks, uniform_beta)
-from .solver import INTEGRALITY_TOL, MilpSolution, SolverOptions, solve_lp, solve_milp
+from .solver import MilpSolution, SolverOptions, solve_lp, solve_milp
 
 
 @dataclass(frozen=True)
@@ -103,16 +103,9 @@ def extract_schedule(model: MilpModel, values: np.ndarray, net: NetworkModel,
     T = scen.horizon
 
     def read(family, entity, status) -> np.ndarray:
+        # solve_milp has checked that every binary column is integral
         v = values[model.series[(family, entity)]]
-        if not status:
-            return v
-        r = np.round(v)
-        off = np.flatnonzero(np.abs(v - r) > 10 * INTEGRALITY_TOL)
-        if off.size:
-            raise GridshedError(
-                f"{family}[{entity}@{off[0]}] = {v[off[0]]!r} is not integral"
-            )
-        return r.astype(int)
+        return np.round(v).astype(int) if status else v
 
     block_status = np.vstack(
         [read("z", f"blk{k}", True) for k in range(part.n_blocks)]
@@ -236,21 +229,17 @@ def _sweep(net, scen_of_value, values, mode, opts, param, workers=1):
             # and the point carries its solver status alongside the metrics
             _, metrics, sol = _solve_once(net, part, scen_of_value(value),
                                           mode, opts, allow_limit=True)
-            wall = (time.perf_counter() - t0) * 1e3
-            return SweepPoint(value, sol.status, sol.objective, metrics, wall)
+            status, objective = sol.status, sol.objective
         except InfeasibleError:
-            wall = (time.perf_counter() - t0) * 1e3
-            return SweepPoint(value, "infeasible", None, None, wall)
+            status, objective, metrics = "infeasible", None, None
         except SolverLimitError:
-            wall = (time.perf_counter() - t0) * 1e3
-            return SweepPoint(value, "limit", None, None, wall)
+            status, objective, metrics = "limit", None, None
+        wall = (time.perf_counter() - t0) * 1e3
+        return SweepPoint(value, status, objective, metrics, wall)
 
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve_point, values))
-    else:
-        points = [solve_point(v) for v in values]
-    return SweepResult(param=param, points=tuple(points))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        points = tuple(pool.map(solve_point, values))
+    return SweepResult(param=param, points=points)
 
 
 def sweep_epsilon(net: NetworkModel, scen: Scenario, values,

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 from . import analysis
 from . import checker as chk
@@ -48,12 +49,28 @@ def _load_inputs(args):
     return net, part, scen
 
 
+@contextmanager
+def _stdout_to_stderr():
+    """Point fd 1 at fd 2 while HiGHS runs: its MIP search can print lines
+    to standard output whatever its log options say, and stdout carries
+    the data."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def cmd_solve(args) -> int:
     net, part, scen = _load_inputs(args)
     try:
-        sched, metrics = analysis.run_horizon(
-            net, scen, mode=args.mode, opts=_solver_options(args), part=part
-        )
+        with _stdout_to_stderr():
+            sched, metrics = analysis.run_horizon(
+                net, scen, mode=args.mode, opts=_solver_options(args),
+                part=part)
     except InfeasibleError as exc:
         print(f"infeasible: {exc} ({exc.diagnosis})", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -130,15 +147,14 @@ def cmd_sweep(args) -> int:
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     if args.param == "epsilon":
-        result = analysis.sweep_epsilon(
-            net, scen, values, mode=args.mode, opts=opts, workers=workers
-        )
+        sweep = analysis.sweep_epsilon
     elif args.param == "beta":
-        result = analysis.sweep_beta(
-            net, scen, values, mode=args.mode, opts=opts, workers=workers
-        )
+        sweep = analysis.sweep_beta
     else:
         raise GridshedError(f"unknown sweep parameter {args.param!r}")
+    with _stdout_to_stderr():
+        result = sweep(net, scen, values, mode=args.mode, opts=opts,
+                       workers=workers)
     result.to_csv(sys.stdout)
     return EXIT_OK
 
@@ -147,11 +163,9 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.case == "13bus":
         net, scen = thirteen_bus_network(), thirteen_bus_scenario()
-    elif args.case == "desk":
+    else:
         net = desk_network(seed=args.seed)
         scen = desk_scenario(seed=args.seed)
-    else:
-        raise GridshedError(f"unknown case {args.case!r}")
     net_path = os.path.join(args.out_dir, f"{args.case}_network.json")
     scen_path = os.path.join(args.out_dir, f"{args.case}_scenario.json")
     for path, doc in ((net_path, net), (scen_path, scen)):

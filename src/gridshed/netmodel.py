@@ -512,8 +512,6 @@ def _as_series(value, length: int, name: str) -> tuple:
             raise DimensionError(
                 f"{name}: expected length {length}, got {len(value)}"
             )
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            return tuple(value)
         return tuple(_numeric(v, name) for v in value)
     raise ParseError(f"{name}: expected number or array")
 

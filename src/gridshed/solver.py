@@ -27,7 +27,7 @@ decision variables that actually matter.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize._highspy import _core
@@ -39,6 +39,8 @@ logger = logging.getLogger(__name__)
 
 INTEGRALITY_TOL = 1e-6
 SCREEN_TOL = 1e-9
+# the most free binaries brute_force_solve enumerates (2**24 assignments)
+BINARY_BUDGET = 24
 
 # HiGHS 1.12 runs the Feasibility Jump heuristic at the start of every MIP
 # solve.  On the scheduling models switching it off left status, objective,
@@ -99,10 +101,10 @@ def _mip_options(opts: SolverOptions) -> dict:
     return options
 
 
-def _highs(model: MilpModel, lo: np.ndarray, hi: np.ndarray,
-           integrality: np.ndarray | None, options: dict):
-    """One HiGHS run on the stored form with ``options``, ``integrality``
-    marking the integer columns (None for none).
+def _highs(model: MilpModel, mip: bool, options: dict):
+    """One HiGHS run on the stored form with ``options``; with ``mip`` the
+    model's binary columns are integer, without it every column is
+    continuous.
 
     Returns (status, objective, bound, values, nodes): status is
     ``optimal``, ``infeasible``, ``unbounded`` or ``limit``; objective and
@@ -116,7 +118,7 @@ def _highs(model: MilpModel, lo: np.ndarray, hi: np.ndarray,
     for name, value in options.items():
         _check(h.setOptionValue(name, value), f"option {name}={value!r}")
 
-    is_mip = integrality is not None and bool(integrality.any())
+    is_mip = mip and bool(model.is_binary.any())
     A = model.A.tocsc()
     lp = _core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
@@ -126,13 +128,13 @@ def _highs(model: MilpModel, lo: np.ndarray, hi: np.ndarray,
     lp.a_matrix_.index_ = A.indices
     lp.a_matrix_.value_ = A.data
     lp.col_cost_ = model.c
-    lp.col_lower_ = lo
-    lp.col_upper_ = hi
+    lp.col_lower_ = model.lo
+    lp.col_upper_ = model.hi
     lp.row_lower_ = model.row_lo
     lp.row_upper_ = model.row_hi
     if is_mip:
         kinds = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
-        lp.integrality_ = [kinds[i] for i in integrality.tolist()]
+        lp.integrality_ = [kinds[i] for i in model.is_binary.tolist()]
     status = _run(h, lp)
     nodes = _nodes(h, is_mip)
     if status == "unbounded or infeasible":
@@ -187,16 +189,10 @@ def _check(status, what: str):
         raise NumericalError(f"HiGHS refused {what}")
 
 
-def solve_lp(model: MilpModel, bounds: np.ndarray | None = None) -> MilpSolution:
+def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (all integrality dropped); an
-    optimum has gap 0 and a bound equal to its objective.
-
-    ``bounds`` optionally overrides the model's variable bounds with an
-    (n, 2) array; used by the enumeration oracle to pin binaries.
-    """
-    lo, hi = ((model.lo, model.hi) if bounds is None
-              else (bounds[:, 0], bounds[:, 1]))
-    status, objective, _, values, _ = _highs(model, lo, hi, None, _QUIET)
+    optimum has gap 0 and a bound equal to its objective."""
+    status, objective, _, values, _ = _highs(model, False, _QUIET)
     if status in ("infeasible", "unbounded"):
         return MilpSolution(status, None, None, 0.0, None)
     if status != "optimal":
@@ -217,8 +213,7 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
     HiGHS proved so.
     """
     status, objective, bound, values, nodes = _highs(
-        model, model.lo, model.hi, model.is_binary,
-        _mip_options(opts or SolverOptions()))
+        model, True, _mip_options(opts or SolverOptions()))
     stats = {"nodes": nodes}
     if values is None:
         gap = math.inf if status == "limit" else 0.0
@@ -238,12 +233,13 @@ def solve_milp(model: MilpModel, opts: SolverOptions | None = None) -> MilpSolut
     return MilpSolution(status, objective, bound, gap, values, stats)
 
 
-def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution:
-    """Exact optimum by exhaustive enumeration of free binary columns.
+def brute_force_solve(model: MilpModel) -> MilpSolution:
+    """Exact optimum by exhaustive enumeration of free binary columns,
+    at most ``BINARY_BUDGET`` of them.
 
     Every assignment is screened against the rows whose support lies in
     enumerated or fixed columns, then the survivors are certified by a
-    continuous LP with the binaries pinned.
+    continuous LP on a copy of the model with the binaries pinned.
     When the objective touches only binary columns (always true for the
     scheduling models, whose cost is a function of block status), the
     survivors are visited in ascending objective order and the first
@@ -256,9 +252,9 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
             enumerated[cols] = False
     enum_cols = np.flatnonzero(enumerated)
     n_enum = len(enum_cols)
-    if n_enum > binary_budget:
+    if n_enum > BINARY_BUDGET:
         raise BudgetExceeded(
-            f"{n_enum} free binaries exceed the enumeration budget {binary_budget}"
+            f"{n_enum} free binaries exceed the enumeration budget {BINARY_BUDGET}"
         )
 
     # rows whose support lies in enumerated or fixed columns, as
@@ -299,14 +295,12 @@ def brute_force_solve(model: MilpModel, binary_budget: int = 24) -> MilpSolution
     surv_obj = np.concatenate(surv_obj)
     order = np.lexsort((surv_idx, surv_obj))
 
-    base_bounds = np.column_stack([model.lo, model.hi])
     best_obj, best_x = math.inf, None
     for pos in order:
         aid = int(surv_idx[pos])
-        bounds = base_bounds.copy()
-        pins = (aid >> np.arange(n_enum)) & 1
-        bounds[enum_cols, 0] = bounds[enum_cols, 1] = pins
-        lp = solve_lp(model, bounds=bounds)
+        lo, hi = model.lo.copy(), model.hi.copy()
+        lo[enum_cols] = hi[enum_cols] = (aid >> np.arange(n_enum)) & 1
+        lp = solve_lp(replace(model, lo=lo, hi=hi))
         if lp.status != "optimal":
             continue
         if lp.objective < best_obj:

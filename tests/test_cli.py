@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gridshed
+from gridshed import analysis, solve_milp
 from gridshed.checker import SERIES, Schedule, schedule_to_dict
 from gridshed.cli import _parse_values, main
 from gridshed.instances import (
@@ -20,7 +21,7 @@ from gridshed.instances import (
     thirteen_bus_scenario,
 )
 
-from conftest import unschedulable_network
+from conftest import make_model, unschedulable_network
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,55 @@ def test_sweep_unknown_param(case_files, capsys):
                            "--param", "gamma", "--values", "1,2")
     assert code == 1
     assert "unknown sweep parameter" in err
+
+
+def test_time_limit_before_any_incumbent_exits_3(capsys, tmp_path):
+    net, scen = tmp_path / "net.json", tmp_path / "scen.json"
+    net.write_text(json.dumps(thirteen_bus_network()))
+    scen.write_text(json.dumps(thirteen_bus_scenario()))
+    code, out, err = run_cli(capsys, "solve", "--net", str(net),
+                             "--scen", str(scen), "--time-limit", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver limit:")
+
+
+# HiGHS 1.12 writes this line to fd 1 twice while it searches this
+# infeasible 6-binary knapsack, whatever its log options say
+STRAY = "HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();\n"
+STRAY_TOY = make_model([11.0, 87.0, -45.0, 63.0, 34.0, -100.0], [(0, 1)] * 6,
+                       [(range(6), [50.0, 58.0, 56.0, 40.0, 95.0, 43.0],
+                         "==", 150.0)],
+                       binary=set(range(6)))
+
+
+@pytest.mark.parametrize("command, entry", [
+    (["solve"], "run_horizon"),
+    (["sweep", "--param", "epsilon", "--values", "0.6,0.8"], "sweep_epsilon"),
+])
+def test_highs_prints_stay_off_stdout(case_files, capfd, monkeypatch,
+                                      command, entry):
+    net, scen, _ = case_files
+    argv = [command[0], "--net", net, "--scen", scen, *command[1:]]
+    assert main(argv) == 0
+    clean = capfd.readouterr()
+
+    real = getattr(analysis, entry)
+
+    def solve_toy_first(*args, **kwargs):
+        assert solve_milp(STRAY_TOY).status == "infeasible"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, entry, solve_toy_first)
+    assert main(argv) == 0
+    out, err = capfd.readouterr()
+    if command[0] == "sweep":  # every column but wall_ms
+        out, clean_out = ([row[:-1] for row in csv.reader(io.StringIO(text))]
+                          for text in (out, clean.out))
+    else:
+        clean_out = clean.out
+    assert out == clean_out
+    assert err == clean.err + 2 * STRAY
 
 
 def test_infeasible_exit_code(case_files, capsys, tmp_path):

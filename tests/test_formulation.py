@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -167,12 +168,11 @@ def test_dead_block_gating():
          "limits": {"epsilon": 1.0, "k_bl_max": 3}},
     )
     model = build_model(net, part, scen, "original")
-    bounds = np.column_stack([model.lo.copy(), model.hi.copy()])
+    lo, hi = model.lo.copy(), model.hi.copy()
     dead = 1
-    for t in range(scen.horizon):
-        c = model.series["z", f"blk{dead}"][t]
-        bounds[c] = [0.0, 0.0]
-    lp = solve_lp(model, bounds=bounds)
+    cols = model.series["z", f"blk{dead}"]
+    lo[cols] = hi[cols] = 0.0
+    lp = solve_lp(dataclasses.replace(model, lo=lo, hi=hi))
     assert lp.status == "optimal"
     dead_buses = part.blocks[dead].buses
     for t in range(scen.horizon):

@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from gridshed import (ValidationError, build_model, parse_scenario, solve_lp,
@@ -89,10 +88,11 @@ def test_storage_cannot_charge_and_discharge_at_once():
     }
     net, part, scen = load_case(doc, {"horizon": 1, "risk": [[1.0]]})
     model = build_model(net, part, scen, "original")
-    bounds = np.column_stack([model.lo.copy(), model.hi.copy()])
-    bounds[model.series["zch", "bat"][0]] = [1.0, 1.0]
-    bounds[model.series["zdis", "bat"][0]] = [1.0, 1.0]
-    assert solve_lp(model, bounds=bounds).status == "infeasible"
+    lo, hi = model.lo.copy(), model.hi.copy()
+    for col in (model.series["zch", "bat"][0], model.series["zdis", "bat"][0]):
+        lo[col] = hi[col] = 1.0
+    pinned = dataclasses.replace(model, lo=lo, hi=hi)
+    assert solve_lp(pinned).status == "infeasible"
 
 
 def test_zero_block_budget_keeps_everything_on(microgrid_case):

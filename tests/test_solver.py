@@ -2,46 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from gridshed import (
     BudgetExceeded,
     DomainError,
+    NumericalError,
     SolverOptions,
     brute_force_solve,
     build_model,
     solve_lp,
     solve_milp,
 )
-from gridshed.formulation import MilpModel
 from gridshed.instances import load_case, small_network, small_scenario
 
-from conftest import free_semantic_binaries
-
-
-def make_model(c, bounds, rows, binary=(), constant=0.0):
-    """Assemble a raw standard-form model for solver unit tests."""
-    n = len(c)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(cols) for cols, _, _, _ in rows], out=indptr[1:])
-    cols = (np.concatenate([np.asarray(r[0], dtype=np.int64) for r in rows])
-            if rows else np.empty(0, dtype=np.int64))
-    vals = (np.concatenate([np.asarray(r[1], dtype=float) for r in rows])
-            if rows else np.empty(0))
-    return MilpModel(
-        series={("x", str(i)): range(i, i + 1) for i in range(n)},
-        lo=np.asarray([b[0] for b in bounds], dtype=float),
-        hi=np.asarray([b[1] for b in bounds], dtype=float),
-        is_binary=np.asarray([i in binary for i in range(n)]),
-        row_groups=tuple(f"g{i}" for i in range(len(rows))),
-        row_lo=np.asarray([-math.inf if rel == "<=" else rhs
-                           for _, _, rel, rhs in rows], dtype=float),
-        row_hi=np.asarray([math.inf if rel == ">=" else rhs
-                           for _, _, rel, rhs in rows], dtype=float),
-        A=csr_matrix((vals, cols, indptr), shape=(len(rows), n)),
-        c=np.asarray(c, dtype=float),
-        objective_constant=constant,
-    )
+from conftest import free_semantic_binaries, make_model
 
 
 class TestSolveLp:
@@ -190,6 +164,15 @@ class TestStatusMapping:
         assert sol.status == "infeasible"
         assert sol.stats["nodes"] >= 1
 
+    def test_fractional_incumbent_is_refused(self, monkeypatch):
+        # the one integrality check between HiGHS and a schedule
+        from gridshed import solver
+        values = np.array([1.0, 1.0, 0.5, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(solver, "_highs", lambda model, mip, options: (
+            "optimal", -146.0, -146.0, values, 1))
+        with pytest.raises(NumericalError, match="integrality by 0.5"):
+            solve_milp(make_model(**self.KNAPSACK))
+
 
 @pytest.mark.parametrize("option, value", [
     ("gap_target", 0.0), ("gap_target", 1.0), ("gap_target", math.nan),
@@ -276,7 +259,7 @@ def test_budget_exceeded(desk_case):
     net, part, scen = desk_case
     model = build_model(net, part, scen, "original")
     with pytest.raises(BudgetExceeded):
-        brute_force_solve(model, binary_budget=24)
+        brute_force_solve(model)
 
 
 def test_brute_force_zero_binaries():
